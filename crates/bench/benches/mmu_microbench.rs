@@ -13,7 +13,7 @@ use neummu_mmu::{
     AddressTranslator, DeviceFaultConfig, MmuConfig, ResilienceConfig, Tlb, TranslationEngine,
     TranslationPathCache, UnifiedPageTableCache, WalkCache, WalkerPool,
 };
-use neummu_vmem::{MemNode, PageSize, PageTable, PathTag, PhysFrameNum, VirtAddr};
+use neummu_vmem::{Asid, MemNode, PageSize, PageTable, PathTag, PhysFrameNum, VirtAddr};
 
 /// Builds a page table with `pages` consecutive 4 KB mappings.
 fn streaming_table(pages: u64) -> PageTable {
@@ -39,12 +39,12 @@ fn bench_tlb(c: &mut Criterion) {
     group.bench_function("lookup_hit_stream", |b| {
         let mut tlb = Tlb::new(2048, 8);
         for page in 0..2048u64 {
-            tlb.insert(page);
+            tlb.insert_tagged(Asid::GLOBAL, page);
         }
         b.iter(|| {
             let mut hits = 0u64;
             for i in 0..accesses {
-                if tlb.lookup(black_box(i % 2048)) {
+                if tlb.lookup_tagged(Asid::GLOBAL, black_box(i % 2048)) {
                     hits += 1;
                 }
             }
@@ -55,8 +55,8 @@ fn bench_tlb(c: &mut Criterion) {
         b.iter(|| {
             let mut tlb = Tlb::new(2048, 8);
             for page in 0..accesses {
-                tlb.lookup(black_box(page));
-                tlb.insert(black_box(page));
+                tlb.lookup_tagged(Asid::GLOBAL, black_box(page));
+                tlb.insert_tagged(Asid::GLOBAL, black_box(page));
             }
             tlb.occupancy()
         })
@@ -113,7 +113,7 @@ fn bench_oracle_translator(c: &mut Criterion) {
             let mut oracle = neummu_mmu::OracleTranslator::new(PageSize::Size4K);
             let mut cycle = 0u64;
             for va in &requests {
-                let outcome = oracle.translate(&pt, black_box(*va), cycle);
+                let outcome = oracle.translate_run(&pt, black_box(*va), 1, cycle).first;
                 cycle = outcome.accept_cycle + 1;
             }
             oracle.stats().requests
@@ -134,15 +134,15 @@ fn bench_walker_pool(c: &mut Criterion) {
             let mut cycle = 0u64;
             for i in 0..walks {
                 let va = VirtAddr::new(i * 4096);
-                match pool.start_walk(cycle, i, PathTag::of(va), 4, true) {
+                match pool.start_walk_tagged(Asid::GLOBAL, cycle, i, PathTag::of(va), 4, true) {
                     neummu_mmu::walker::WalkAdmission::Rejected { retry_at } => {
-                        pool.retire_completed(retry_at);
+                        pool.drain_completed(retry_at, |_| {});
                         cycle = retry_at;
                     }
                     _ => cycle += 1,
                 }
             }
-            pool.retire_completed(u64::MAX).len()
+            pool.drain_completed(u64::MAX, |_| {})
         })
     });
     group.finish();
@@ -186,7 +186,8 @@ fn bench_translation_engine_burst(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(3));
     let pages = 2048u64;
     let pt = streaming_table(pages);
-    // An 8-transactions-per-page burst, as a 512-byte DMA stream would produce.
+    // An 8-transactions-per-page burst, as a 512-byte DMA stream would
+    // produce, issued one request (a run of count 1) at a time.
     let requests: Vec<VirtAddr> = (0..pages * 8)
         .map(|i| VirtAddr::new(0x10_0000_0000 + i * 512))
         .collect();
@@ -204,7 +205,7 @@ fn bench_translation_engine_burst(c: &mut Criterion) {
                 let mut engine = TranslationEngine::new(config);
                 let mut cycle = 0u64;
                 for va in &requests {
-                    let outcome = engine.translate(&pt, black_box(*va), cycle);
+                    let outcome = engine.translate_run(&pt, black_box(*va), 1, cycle).first;
                     cycle = outcome.accept_cycle + 1;
                 }
                 engine.stats().walks
@@ -274,11 +275,12 @@ fn bench_multi_tenant_translation(c: &mut Criterion) {
                         continue;
                     }
                     live += 1;
-                    let asid = neummu_vmem::Asid::new(tenant as u16);
+                    let asid = Asid::new(tenant as u16);
                     let end = (*cursor + BURST).min(requests.len());
                     for va in &requests[*cursor..end] {
-                        let outcome =
-                            engine.translate_tagged(&tables[tenant], asid, black_box(*va), cycle);
+                        let outcome = engine
+                            .translate_run_tagged(&tables[tenant], asid, black_box(*va), 1, cycle)
+                            .first;
                         cycle = outcome.accept_cycle + 1;
                     }
                     *cursor = end;
@@ -319,7 +321,7 @@ fn bench_fault_storm_recovery(c: &mut Criterion) {
                 .unwrap();
                 let mut cycle = 0u64;
                 for va in &requests {
-                    let outcome = engine.translate(&pt, black_box(*va), cycle);
+                    let outcome = engine.translate_run(&pt, black_box(*va), 1, cycle).first;
                     cycle = outcome.accept_cycle + 1;
                 }
                 engine.stats().walks

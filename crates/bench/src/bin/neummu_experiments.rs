@@ -53,6 +53,30 @@ use neummu_sim::ExperimentRunner;
 use neummu_store::Store;
 use neummu_workloads::WorkloadId;
 
+/// Every experiment id `--only` accepts, in run order.
+const EXPERIMENT_IDS: [&str; 20] = [
+    "table1",
+    "fig06",
+    "fig07",
+    "fig08",
+    "fig10",
+    "fig11",
+    "fig12a",
+    "fig12b",
+    "fig13",
+    "fig14",
+    "mmu_cache",
+    "summary",
+    "largepage",
+    "spatial",
+    "sensitivity",
+    "fig15",
+    "fig16",
+    "multitenant",
+    "serving",
+    "resilience",
+];
+
 struct Options {
     scale: ExperimentScale,
     out_dir: String,
@@ -80,7 +104,17 @@ fn parse_args() -> Result<Options, String> {
                 let list = args
                     .next()
                     .ok_or("--only requires a comma-separated list")?;
-                only = Some(list.split(',').map(|s| s.trim().to_string()).collect());
+                let ids: BTreeSet<String> = list.split(',').map(|s| s.trim().to_string()).collect();
+                // An unknown id would silently select nothing: a renamed
+                // family must fail loudly, not write zero artifacts.
+                if let Some(unknown) = ids.iter().find(|id| !EXPERIMENT_IDS.contains(&id.as_str()))
+                {
+                    return Err(format!(
+                        "unknown experiment id `{unknown}` in --only (known: {})",
+                        EXPERIMENT_IDS.join(", ")
+                    ));
+                }
+                only = Some(ids);
             }
             "--threads" => {
                 let value = args.next().ok_or("--threads requires a count argument")?;
@@ -120,6 +154,10 @@ fn parse_args() -> Result<Options, String> {
 }
 
 fn wants(options: &Options, id: &str) -> bool {
+    debug_assert!(
+        EXPERIMENT_IDS.contains(&id),
+        "`{id}` missing from EXPERIMENT_IDS"
+    );
     options.only.as_ref().is_none_or(|set| set.contains(id))
 }
 

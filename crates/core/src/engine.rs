@@ -68,7 +68,7 @@ pub struct TranslationOutcome {
 }
 
 /// The outcome of a run-coalesced burst of same-page translation requests
-/// (see [`AddressTranslator::translate_run`]).
+/// (see [`AddressTranslator::translate_run_tagged`]).
 ///
 /// The first request of the run resolves through the full translation path
 /// and its outcome is reported verbatim in `first`. The remaining
@@ -79,8 +79,8 @@ pub struct TranslationOutcome {
 /// own accept) and 0 for replayed PRMB merges (every merged request completes
 /// when the shared walk retires). A run outcome never hides information: the
 /// per-request [`TranslationOutcome`]s reconstructed by
-/// [`RunOutcome::outcome`] are bit-identical to what `consumed` individual
-/// `translate` calls would have returned.
+/// [`RunOutcome::outcome`] are bit-identical to what `consumed` runs of
+/// count 1 would have returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunOutcome {
     /// Outcome of the run's first request (full translation path).
@@ -88,8 +88,8 @@ pub struct RunOutcome {
     /// How many of the run's requests this call resolved (at least 1, at
     /// most the requested count). When smaller than the requested count, the
     /// replay hit a non-arithmetic event (PRMB exhaustion, an eviction, a
-    /// fault) and the caller re-issues the remainder with another
-    /// `translate_run` call, whose first request takes the full path —
+    /// fault) and the caller re-issues the remainder with another run,
+    /// whose first request takes the full path —
     /// exactly like the per-transaction sequence.
     pub consumed: u64,
     /// Completion stride of the replayed requests: 1 for TLB-hit replays,
@@ -154,7 +154,7 @@ impl RunOutcome {
     }
 
     /// The full per-request outcome of the `index`-th request, bit-identical
-    /// to what an individual `translate` call would have returned.
+    /// to what a run of count 1 would have returned.
     #[must_use]
     pub fn outcome(&self, index: u64) -> TranslationOutcome {
         if index == 0 {
@@ -171,74 +171,31 @@ impl RunOutcome {
 
 /// Common interface of the oracular MMU and the cycle-accounted engines.
 ///
+/// [`AddressTranslator::translate_run_tagged`] is the one translate method
+/// an implementation writes: a single request is a run of count 1, which
+/// never replays. [`AddressTranslator::translate_run`] is its
+/// [`Asid::GLOBAL`] shorthand.
+///
 /// The trait requires `Send` so that boxed translators — and any per-point
 /// simulation state embedding one — can move onto worker threads of the
 /// parallel experiment runner. All translator state is plain owned data, so
 /// every implementation satisfies the bound structurally.
 pub trait AddressTranslator: Send {
-    /// Translates `va` for a request issued at `cycle`.
-    ///
-    /// Requests must be issued in non-decreasing cycle order; the engine
-    /// models an in-order DMA front end. Equivalent to
-    /// [`AddressTranslator::translate_tagged`] in the [`Asid::GLOBAL`]
-    /// context.
-    fn translate(&mut self, page_table: &PageTable, va: VirtAddr, cycle: u64)
-        -> TranslationOutcome;
-
-    /// Translates `va` in the tenant context `asid`, walking that tenant's
-    /// `page_table`.
-    ///
-    /// Translators that cache per-address state (the IOTLB, the PTS) key it
-    /// by `(asid, page)` so contexts never alias; stateless translators (the
-    /// oracle, whose memo is already stamped by the page table's globally
-    /// unique revision) ignore the tag, which is what this default does.
-    fn translate_tagged(
-        &mut self,
-        page_table: &PageTable,
-        asid: Asid,
-        va: VirtAddr,
-        cycle: u64,
-    ) -> TranslationOutcome {
-        let _ = asid;
-        self.translate(page_table, va, cycle)
-    }
-
-    /// Invalidates every cached translation belonging to the tenant context
-    /// `asid` (context teardown / page-table switch), leaving other tenants'
-    /// state untouched. Stateless translators need not do anything.
-    fn flush_asid(&mut self, asid: Asid) {
-        let _ = asid;
-    }
-
-    /// Translates a run of `count` back-to-back same-page requests, the
-    /// first at address `va` issued at `cycle`, each subsequent request
-    /// issued one cycle after the previous one was accepted — the exact
+    /// Translates a run of `count` back-to-back same-page requests in the
+    /// tenant context `asid`, walking that tenant's `page_table`. The first
+    /// request is at address `va`, issued at `cycle`; each subsequent request
+    /// is issued one cycle after the previous one was accepted — the exact
     /// issue pattern of a DMA burst. Every address of the run must lie on
-    /// the same [`AddressTranslator::page_size`] page as `va`.
+    /// the same [`AddressTranslator::page_size`] page as `va`. Runs must be
+    /// issued in non-decreasing cycle order; the engine models an in-order
+    /// DMA front end.
     ///
     /// Implementations resolve the first request through the full
     /// translation path and may *replay* as many of the remaining requests
     /// as behave arithmetically (see [`RunOutcome`]); the sequence of
-    /// outcomes and every statistic are bit-identical to `count` individual
-    /// [`AddressTranslator::translate`] calls. The default implementation
-    /// coalesces nothing: it resolves the first request and returns
-    /// `consumed == 1`, which is always correct.
-    ///
-    /// Equivalent to [`AddressTranslator::translate_run_tagged`] in the
-    /// [`Asid::GLOBAL`] context.
-    fn translate_run(
-        &mut self,
-        page_table: &PageTable,
-        va: VirtAddr,
-        count: u64,
-        cycle: u64,
-    ) -> RunOutcome {
-        debug_assert!(count >= 1, "a run has at least one request");
-        RunOutcome::single(self.translate(page_table, va, cycle))
-    }
-
-    /// [`AddressTranslator::translate_run`] in the tenant context `asid`.
-    /// The default resolves the first request and coalesces nothing.
+    /// outcomes and every statistic are bit-identical to `count` runs of
+    /// count 1. Translators that cache per-address state (the IOTLB, the
+    /// PTS) key it by `(asid, page)` so contexts never alias.
     fn translate_run_tagged(
         &mut self,
         page_table: &PageTable,
@@ -246,9 +203,25 @@ pub trait AddressTranslator: Send {
         va: VirtAddr,
         count: u64,
         cycle: u64,
+    ) -> RunOutcome;
+
+    /// [`AddressTranslator::translate_run_tagged`] in the [`Asid::GLOBAL`]
+    /// context (the single-tenant simulators' entry point).
+    fn translate_run(
+        &mut self,
+        page_table: &PageTable,
+        va: VirtAddr,
+        count: u64,
+        cycle: u64,
     ) -> RunOutcome {
-        debug_assert!(count >= 1, "a run has at least one request");
-        RunOutcome::single(self.translate_tagged(page_table, asid, va, cycle))
+        self.translate_run_tagged(page_table, Asid::GLOBAL, va, count, cycle)
+    }
+
+    /// Invalidates every cached translation belonging to the tenant context
+    /// `asid` (context teardown / page-table switch), leaving other tenants'
+    /// state untouched. Stateless translators need not do anything.
+    fn flush_asid(&mut self, asid: Asid) {
+        let _ = asid;
     }
 
     /// Statistics accumulated so far.
@@ -610,12 +583,18 @@ impl Clone for OracleTranslator {
 }
 
 impl AddressTranslator for OracleTranslator {
-    fn translate(
+    fn translate_run_tagged(
         &mut self,
         page_table: &PageTable,
+        asid: Asid,
         va: VirtAddr,
+        count: u64,
         cycle: u64,
-    ) -> TranslationOutcome {
+    ) -> RunOutcome {
+        debug_assert!(count >= 1, "a run has at least one request");
+        // The oracle is stateless across contexts (its memo is stamped by
+        // the page table's globally unique revision), so the tag is unused.
+        let _ = asid;
         self.stats.requests += 1;
         self.stats.tlb_hits += 1;
         self.stats.last_completion_cycle = self.stats.last_completion_cycle.max(cycle);
@@ -623,24 +602,12 @@ impl AddressTranslator for OracleTranslator {
         if fault {
             self.stats.faults += 1;
         }
-        TranslationOutcome {
+        let mut out = RunOutcome::single(TranslationOutcome {
             accept_cycle: cycle,
             complete_cycle: cycle,
             source: TranslationSource::Oracle,
             fault,
-        }
-    }
-
-    fn translate_run(
-        &mut self,
-        page_table: &PageTable,
-        va: VirtAddr,
-        count: u64,
-        cycle: u64,
-    ) -> RunOutcome {
-        debug_assert!(count >= 1, "a run has at least one request");
-        let first = self.translate(page_table, va, cycle);
-        let mut out = RunOutcome::single(first);
+        });
         if count <= 1 {
             return out;
         }
@@ -663,7 +630,7 @@ impl AddressTranslator for OracleTranslator {
         let replays = count - 1;
         self.stats.requests += replays;
         self.stats.tlb_hits += replays;
-        if first.fault {
+        if fault {
             self.stats.faults += replays;
         }
         self.stats.last_completion_cycle = self.stats.last_completion_cycle.max(cycle + replays);
@@ -673,21 +640,6 @@ impl AddressTranslator for OracleTranslator {
         out.consumed = count;
         out.complete_stride = 1;
         out
-    }
-
-    fn translate_run_tagged(
-        &mut self,
-        page_table: &PageTable,
-        asid: Asid,
-        va: VirtAddr,
-        count: u64,
-        cycle: u64,
-    ) -> RunOutcome {
-        // The oracle is stateless across contexts (its memo is stamped by
-        // the page table's globally unique revision), so the tagged run is
-        // the untagged run.
-        let _ = asid;
-        self.translate_run(page_table, va, count, cycle)
     }
 
     fn stats(&self) -> &TranslationStats {
@@ -817,6 +769,11 @@ impl TranslationEngine {
         va.page_number(self.config.page_size)
     }
 
+    /// True if an attached fault plan can perturb walks.
+    fn faults_armed(&self) -> bool {
+        self.faults.as_ref().is_some_and(|f| !f.plan.is_disarmed())
+    }
+
     /// Fault-injection gate on the walk-admission path. For the fault-free
     /// engine this is a single `is_none` branch; with a disarmed plan, one
     /// more load. Armed plans first readmit any quarantined walkers whose
@@ -863,7 +820,6 @@ impl TranslationEngine {
         fault: InjectedFault,
         quarantine_until: u64,
         now: u64,
-        issue_cycle: u64,
     ) -> Option<TranslationOutcome> {
         let effective_mapped = mapped && !fault.failed;
         let WalkAdmission::Started {
@@ -882,16 +838,13 @@ impl TranslationEngine {
         else {
             return None;
         };
-        self.stats.tlb_misses += 1;
-        self.stats.walks += 1;
-        self.stats.walk_memory_accesses += u64::from(levels_read);
-        self.energy
-            .record(EnergyEvent::PageWalkMemoryAccess, u64::from(levels_read));
-        if !effective_mapped {
-            self.stats.faults += 1;
-        }
-        self.stats.last_completion_cycle = self.stats.last_completion_cycle.max(completes_at);
-        self.stats.stall_cycles += now - issue_cycle;
+        Self::account_walk(
+            &mut self.stats,
+            &mut self.energy,
+            levels_read,
+            effective_mapped,
+            completes_at,
+        );
         self.tap.record(TAP_WALK, asid, now, completes_at, 1);
         if !effective_mapped {
             self.tap.record(TAP_FAULT, asid, now, completes_at, 1);
@@ -941,8 +894,54 @@ impl TranslationEngine {
         });
     }
 
+    /// Bookkeeping of `hits` requests that hit the IOTLB, the last of them
+    /// completing at `complete`. Shared by the full path and the hit replay.
+    #[inline]
+    fn account_hits(stats: &mut TranslationStats, hits: u64, complete: u64) {
+        stats.tlb_hits += hits;
+        stats.last_completion_cycle = stats.last_completion_cycle.max(complete);
+    }
+
+    /// Bookkeeping of `merged` requests that joined the in-flight walk
+    /// completing at `completes_at`. Shared by the full path and the merge
+    /// replay.
+    #[inline]
+    fn account_merges(
+        stats: &mut TranslationStats,
+        energy: &mut EnergyMeter,
+        merged: u64,
+        completes_at: u64,
+    ) {
+        stats.tlb_misses += merged;
+        stats.merged += merged;
+        energy.record(EnergyEvent::PrmbWrite, merged);
+        stats.last_completion_cycle = stats.last_completion_cycle.max(completes_at);
+    }
+
+    /// Walk-start bookkeeping of one admitted walk that reads `levels_read`
+    /// page-table levels and completes at `completes_at`. The one place every
+    /// walk is counted: the full path, the fault-perturbed admission and the
+    /// walk replay all call it.
+    #[inline]
+    fn account_walk(
+        stats: &mut TranslationStats,
+        energy: &mut EnergyMeter,
+        levels_read: u32,
+        mapped: bool,
+        completes_at: u64,
+    ) {
+        stats.tlb_misses += 1;
+        stats.walks += 1;
+        stats.walk_memory_accesses += u64::from(levels_read);
+        energy.record(EnergyEvent::PageWalkMemoryAccess, u64::from(levels_read));
+        if !mapped {
+            stats.faults += 1;
+        }
+        stats.last_completion_cycle = stats.last_completion_cycle.max(completes_at);
+    }
+
     /// Retires every walk completed by `cycle`, filling the TLB. Split-borrow
-    /// form shared by the per-request path and the run replays.
+    /// form shared by the full path and the run replays.
     fn retire_walks(
         walkers: &mut WalkerPool,
         tlb: &mut Tlb,
@@ -1047,10 +1046,7 @@ impl TranslationEngine {
         let replayed = cursor - first_accept;
         if replayed > 0 {
             stats.requests += replayed;
-            stats.tlb_hits += replayed;
-            stats.last_completion_cycle = stats
-                .last_completion_cycle
-                .max(cursor + config.tlb_hit_latency);
+            Self::account_hits(stats, replayed, cursor + config.tlb_hit_latency);
             energy.record(EnergyEvent::TlbLookup, replayed);
             hot.runs_coalesced += 1;
             hot.replayed_hits += replayed;
@@ -1075,20 +1071,19 @@ impl TranslationEngine {
     /// run: the TLB set scan (every lookup of an in-flight page misses until
     /// a walk of the page retires — the replay stops the moment that
     /// happens) and the page-table probe (the page is immutable for the
-    /// duration of the call, so `full_levels`/`mapped` are those of the
-    /// first request). Walker assignment, TPreg probes and fills, heap
+    /// duration of the call, so every walk reads the first request's
+    /// `levels` and finds the page mapped — a faulting first request never
+    /// replays). Walker assignment, TPreg probes and fills, heap
     /// order, retirements and all statistics go through the exact
     /// per-request machinery, one request at a time; a request that would
     /// be rejected (no idle walker) is *not* consumed, so the caller's next
-    /// `translate_run` re-issues it through the full stall-retry path.
-    #[allow(clippy::too_many_arguments)]
+    /// run re-issues it through the full stall-retry path.
     fn replay_walk_run(
         &mut self,
         asid: Asid,
         page_number: u64,
         tag: PathTag,
-        full_levels: u32,
-        mapped: bool,
+        levels: u32,
         first_accept: u64,
         want: u64,
     ) -> u64 {
@@ -1124,27 +1119,17 @@ impl TranslationEngine {
             }
             tlb.record_run_misses(1);
             energy.record(EnergyEvent::TlbLookup, 1);
-            match walkers.start_walk_tagged(asid, cycle, page_number, tag, full_levels, mapped) {
-                WalkAdmission::Started {
-                    completes_at,
-                    levels_read,
-                    ..
-                } => {
-                    stats.requests += 1;
-                    stats.tlb_misses += 1;
-                    stats.walks += 1;
-                    stats.walk_memory_accesses += u64::from(levels_read);
-                    energy.record(EnergyEvent::PageWalkMemoryAccess, u64::from(levels_read));
-                    if !mapped {
-                        stats.faults += 1;
-                    }
-                    stats.last_completion_cycle = stats.last_completion_cycle.max(completes_at);
-                    cursor = cycle;
-                }
-                WalkAdmission::Merged { .. } | WalkAdmission::Rejected { .. } => {
-                    unreachable!("a free walker accepts a walk when merging is disabled")
-                }
-            }
+            let WalkAdmission::Started {
+                completes_at,
+                levels_read,
+                ..
+            } = walkers.start_walk_tagged(asid, cycle, page_number, tag, levels, true)
+            else {
+                unreachable!("a free walker accepts a walk")
+            };
+            stats.requests += 1;
+            Self::account_walk(stats, energy, levels_read, true, completes_at);
+            cursor = cycle;
         }
         let replayed = cursor - first_accept;
         if replayed > 0 {
@@ -1157,13 +1142,13 @@ impl TranslationEngine {
 
     /// Replays up to `want` same-page requests, one per cycle after
     /// `first_accept`, each of which merges into the in-flight walk the
-    /// run's first request started or merged into. Returns how many were
-    /// replayed.
+    /// run's first request started or merged into (the walk completing at
+    /// `completes_at`). Returns how many were replayed.
     ///
     /// Merged requests touch no TLB entry (their lookups miss), so walks of
     /// other pages that complete mid-run retire in completion order exactly
     /// as the per-request path retires them. The replay stops — leaving the
-    /// remainder to the caller's next `translate_run` call, whose first
+    /// remainder to the caller's next run, whose first
     /// request takes the full path — as soon as anything non-arithmetic
     /// happens: the PRMB fills up, the shared walk's PTS entry disappears,
     /// or the run's page lands in the TLB (a duplicate walk retiring, or the
@@ -1173,6 +1158,7 @@ impl TranslationEngine {
         asid: Asid,
         page_number: u64,
         first_accept: u64,
+        completes_at: u64,
         want: u64,
     ) -> u64 {
         let TranslationEngine {
@@ -1216,30 +1202,21 @@ impl TranslationEngine {
         let replayed = cursor - first_accept;
         if replayed > 0 {
             stats.requests += replayed;
-            stats.tlb_misses += replayed;
-            stats.merged += replayed;
             energy.record(EnergyEvent::TlbLookup, replayed);
             energy.record(EnergyEvent::PtsLookup, replayed);
-            energy.record(EnergyEvent::PrmbWrite, replayed);
+            Self::account_merges(stats, energy, replayed, completes_at);
             hot.runs_coalesced += 1;
             hot.replayed_merges += replayed;
             tap.record(TAP_REPLAY_MERGES, asid, first_accept + 1, cursor, replayed);
         }
         replayed
     }
-}
 
-impl AddressTranslator for TranslationEngine {
-    fn translate(
-        &mut self,
-        page_table: &PageTable,
-        va: VirtAddr,
-        cycle: u64,
-    ) -> TranslationOutcome {
-        self.translate_tagged(page_table, Asid::GLOBAL, va, cycle)
-    }
-
-    fn translate_tagged(
+    /// Resolves one request through the full translation path: the IOTLB,
+    /// then a PTS/PRMB merge, then a walk on a free walker — stalling while
+    /// neither a walker nor a mergeable slot is available. The first request
+    /// of every run takes this path; the rest may replay.
+    fn translate_first(
         &mut self,
         page_table: &PageTable,
         asid: Asid,
@@ -1254,7 +1231,7 @@ impl AddressTranslator for TranslationEngine {
         // `Rejected → retry` iterations of the structural-stall loop.
         let mut cached_probe: Option<WalkProbe> = None;
 
-        loop {
+        let outcome = loop {
             // Retire walks that completed before this attempt so their
             // translations are visible in the TLB and their walkers are free.
             self.drain_completions(now);
@@ -1262,12 +1239,10 @@ impl AddressTranslator for TranslationEngine {
             // 1. IOTLB lookup.
             self.energy.record(EnergyEvent::TlbLookup, 1);
             if self.tlb.lookup_tagged(asid, page_number) {
-                self.stats.tlb_hits += 1;
                 let complete = now + self.config.tlb_hit_latency;
-                self.stats.last_completion_cycle = self.stats.last_completion_cycle.max(complete);
-                self.stats.stall_cycles += now - cycle;
+                Self::account_hits(&mut self.stats, 1, complete);
                 self.tap.record(TAP_TLB_HIT, asid, now, complete, 1);
-                return TranslationOutcome {
+                break TranslationOutcome {
                     accept_cycle: now,
                     complete_cycle: complete,
                     source: TranslationSource::TlbHit,
@@ -1281,14 +1256,9 @@ impl AddressTranslator for TranslationEngine {
                 if let Some((_walker, completes_at)) =
                     self.walkers.try_merge_tagged(asid, page_number)
                 {
-                    self.stats.tlb_misses += 1;
-                    self.stats.merged += 1;
-                    self.energy.record(EnergyEvent::PrmbWrite, 1);
-                    self.stats.last_completion_cycle =
-                        self.stats.last_completion_cycle.max(completes_at);
-                    self.stats.stall_cycles += now - cycle;
+                    Self::account_merges(&mut self.stats, &mut self.energy, 1, completes_at);
                     self.tap.record(TAP_MERGE, asid, now, completes_at, 1);
-                    return TranslationOutcome {
+                    break TranslationOutcome {
                         accept_cycle: now,
                         complete_cycle: completes_at,
                         source: TranslationSource::Merged,
@@ -1326,9 +1296,8 @@ impl AddressTranslator for TranslationEngine {
                     fault,
                     quarantine_until,
                     now,
-                    cycle,
                 ) {
-                    return outcome;
+                    break outcome;
                 }
                 // Unreachable in practice — the gate drew only after
                 // verifying a free walker — but degrade to a structural
@@ -1354,11 +1323,13 @@ impl AddressTranslator for TranslationEngine {
                     levels_read,
                     ..
                 } => {
-                    self.stats.tlb_misses += 1;
-                    self.stats.walks += 1;
-                    self.stats.walk_memory_accesses += u64::from(levels_read);
-                    self.energy
-                        .record(EnergyEvent::PageWalkMemoryAccess, u64::from(levels_read));
+                    Self::account_walk(
+                        &mut self.stats,
+                        &mut self.energy,
+                        levels_read,
+                        mapped,
+                        completes_at,
+                    );
                     if self.config.tpreg_enabled {
                         self.stats.tpreg_lookups += 1;
                         self.stats.tpreg_skipped_levels +=
@@ -1373,35 +1344,15 @@ impl AddressTranslator for TranslationEngine {
                             self.stats.tpreg_l2_hits += 1;
                         }
                     }
-                    if !mapped {
-                        self.stats.faults += 1;
-                    }
-                    self.stats.last_completion_cycle =
-                        self.stats.last_completion_cycle.max(completes_at);
-                    self.stats.stall_cycles += now - cycle;
                     self.tap.record(TAP_WALK, asid, now, completes_at, 1);
                     if !mapped {
                         self.tap.record(TAP_FAULT, asid, now, completes_at, 1);
                     }
-                    return TranslationOutcome {
+                    break TranslationOutcome {
                         accept_cycle: now,
                         complete_cycle: completes_at,
                         source: TranslationSource::PageWalk { levels_read },
                         fault: !mapped,
-                    };
-                }
-                WalkAdmission::Merged { completes_at, .. } => {
-                    // Unreachable in practice (merging is attempted above),
-                    // but handled for completeness.
-                    self.stats.tlb_misses += 1;
-                    self.stats.merged += 1;
-                    self.stats.stall_cycles += now - cycle;
-                    self.tap.record(TAP_MERGE, asid, now, completes_at, 1);
-                    return TranslationOutcome {
-                        accept_cycle: now,
-                        complete_cycle: completes_at,
-                        source: TranslationSource::Merged,
-                        fault: false,
                     };
                 }
                 WalkAdmission::Rejected { retry_at } => {
@@ -1411,19 +1362,13 @@ impl AddressTranslator for TranslationEngine {
                     now = retry_at.max(now + 1);
                 }
             }
-        }
+        };
+        self.stats.stall_cycles += outcome.accept_cycle - cycle;
+        outcome
     }
+}
 
-    fn translate_run(
-        &mut self,
-        page_table: &PageTable,
-        va: VirtAddr,
-        count: u64,
-        cycle: u64,
-    ) -> RunOutcome {
-        self.translate_run_tagged(page_table, Asid::GLOBAL, va, count, cycle)
-    }
-
+impl AddressTranslator for TranslationEngine {
     fn translate_run_tagged(
         &mut self,
         page_table: &PageTable,
@@ -1433,7 +1378,7 @@ impl AddressTranslator for TranslationEngine {
         cycle: u64,
     ) -> RunOutcome {
         debug_assert!(count >= 1, "a run has at least one request");
-        let first = self.translate_tagged(page_table, asid, va, cycle);
+        let first = self.translate_first(page_table, asid, va, cycle);
         let mut out = RunOutcome::single(first);
         if count <= 1 || first.fault {
             return out;
@@ -1453,7 +1398,13 @@ impl AddressTranslator for TranslationEngine {
             TranslationSource::Merged | TranslationSource::PageWalk { .. }
                 if self.config.merging_enabled() =>
             {
-                let replayed = self.replay_merge_run(asid, page_number, first.accept_cycle, want);
+                let replayed = self.replay_merge_run(
+                    asid,
+                    page_number,
+                    first.accept_cycle,
+                    first.complete_cycle,
+                    want,
+                );
                 if replayed > 0 {
                     out.consumed += replayed;
                     out.complete_stride = 0;
@@ -1461,20 +1412,21 @@ impl AddressTranslator for TranslationEngine {
                     out.replay_fault = false;
                 }
             }
-            TranslationSource::PageWalk { levels_read } if !self.config.tpreg_enabled => {
+            TranslationSource::PageWalk { levels_read }
+                if !self.config.tpreg_enabled && !self.faults_armed() =>
+            {
                 // Merging disabled and no TPreg (the baseline-IOMMU shape):
                 // every request of the run spends its own full walk, reading
                 // the same number of levels — so the replayed walks complete
                 // on the same one-cycle stride their accepts advance on.
                 // (With a TPreg, later walks skip levels the first one read
-                // and completions stop being arithmetic: no replay.)
-                let tag = PathTag::of(va);
+                // and completions stop being arithmetic; with an armed fault
+                // plan every walk draws its own fault: no replay.)
                 let replayed = self.replay_walk_run(
                     asid,
                     page_number,
-                    tag,
+                    PathTag::of(va),
                     levels_read,
-                    true,
                     first.accept_cycle,
                     want,
                 );
@@ -1573,6 +1525,30 @@ mod tests {
     use super::*;
     use neummu_vmem::{MemNode, PhysFrameNum};
 
+    /// One request through the single entry point: a run of count 1 in the
+    /// [`Asid::GLOBAL`] context.
+    fn translate_one<T: AddressTranslator + ?Sized>(
+        translator: &mut T,
+        page_table: &PageTable,
+        va: VirtAddr,
+        cycle: u64,
+    ) -> TranslationOutcome {
+        translate_one_in(translator, page_table, Asid::GLOBAL, va, cycle)
+    }
+
+    /// One request in the tenant context `asid`.
+    fn translate_one_in<T: AddressTranslator + ?Sized>(
+        translator: &mut T,
+        page_table: &PageTable,
+        asid: Asid,
+        va: VirtAddr,
+        cycle: u64,
+    ) -> TranslationOutcome {
+        let run = translator.translate_run_tagged(page_table, asid, va, 1, cycle);
+        assert_eq!(run.consumed, 1, "a run of count 1 never replays");
+        run.first
+    }
+
     /// Maps `pages` consecutive 4 KB pages starting at `base`.
     fn mapped_table(base: u64, pages: u64) -> PageTable {
         let mut pt = PageTable::new();
@@ -1592,7 +1568,7 @@ mod tests {
     fn oracle_translations_are_free() {
         let pt = mapped_table(0x100_0000, 4);
         let mut oracle = OracleTranslator::default();
-        let out = oracle.translate(&pt, VirtAddr::new(0x100_0000), 123);
+        let out = translate_one(&mut oracle, &pt, VirtAddr::new(0x100_0000), 123);
         assert_eq!(out.accept_cycle, 123);
         assert_eq!(out.complete_cycle, 123);
         assert!(!out.fault);
@@ -1605,12 +1581,12 @@ mod tests {
         let mut oracle = OracleTranslator::default();
         // A DMA-style burst to one page: the memo answers the repeats.
         for i in 0..8u64 {
-            let out = oracle.translate(&pt, VirtAddr::new(0x100_0000 + i * 512), i);
+            let out = translate_one(&mut oracle, &pt, VirtAddr::new(0x100_0000 + i * 512), i);
             assert!(!out.fault);
         }
         // A different, unmapped page re-primes the memo with a negative range.
-        assert!(oracle.translate(&pt, VirtAddr::new(0x900_0000), 10).fault);
-        assert!(oracle.translate(&pt, VirtAddr::new(0x900_0800), 11).fault);
+        assert!(translate_one(&mut oracle, &pt, VirtAddr::new(0x900_0000), 10).fault);
+        assert!(translate_one(&mut oracle, &pt, VirtAddr::new(0x900_0800), 11).fault);
         // Mapping that page changes the stats stamp: the stale negative memo
         // must not answer.
         pt.map(
@@ -1620,10 +1596,10 @@ mod tests {
             MemNode::Npu(0),
         )
         .unwrap();
-        assert!(!oracle.translate(&pt, VirtAddr::new(0x900_0800), 12).fault);
+        assert!(!translate_one(&mut oracle, &pt, VirtAddr::new(0x900_0800), 12).fault);
         // Unmapping likewise invalidates a stale positive memo.
         pt.unmap(VirtAddr::new(0x900_0000)).unwrap();
-        assert!(oracle.translate(&pt, VirtAddr::new(0x900_0800), 13).fault);
+        assert!(translate_one(&mut oracle, &pt, VirtAddr::new(0x900_0800), 13).fault);
         assert_eq!(oracle.stats().faults, 3);
     }
 
@@ -1635,7 +1611,7 @@ mod tests {
         // claim the unmapped page.
         let mut pt = mapped_table(0x100_0000, 2);
         let mut oracle = OracleTranslator::default();
-        assert!(!oracle.translate(&pt, VirtAddr::new(0x100_0000), 0).fault);
+        assert!(!translate_one(&mut oracle, &pt, VirtAddr::new(0x100_0000), 0).fault);
         let stats_before = pt.stats();
         pt.unmap(VirtAddr::new(0x100_0000)).unwrap();
         pt.map(
@@ -1646,7 +1622,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(pt.stats(), stats_before, "the pair must be compensating");
-        let out = oracle.translate(&pt, VirtAddr::new(0x100_0000), 1);
+        let out = translate_one(&mut oracle, &pt, VirtAddr::new(0x100_0000), 1);
         assert!(out.fault, "stale memo answered for an unmapped page");
     }
 
@@ -1665,9 +1641,9 @@ mod tests {
         )
         .unwrap();
         let mut oracle = OracleTranslator::default();
-        assert!(!oracle.translate(&pt_a, VirtAddr::new(0x100_0000), 0).fault);
+        assert!(!translate_one(&mut oracle, &pt_a, VirtAddr::new(0x100_0000), 0).fault);
         assert!(
-            oracle.translate(&pt_b, VirtAddr::new(0x100_0000), 1).fault,
+            translate_one(&mut oracle, &pt_b, VirtAddr::new(0x100_0000), 1).fault,
             "memo leaked across page tables"
         );
     }
@@ -1679,11 +1655,11 @@ mod tests {
         // event up to the clone point.
         let pt = mapped_table(0xe00_0000, 1);
         let mut oracle = OracleTranslator::default();
-        oracle.translate(&pt, VirtAddr::new(0xe00_0000), 0);
+        translate_one(&mut oracle, &pt, VirtAddr::new(0xe00_0000), 0);
         assert_ne!(oracle.hot, HotTally::default());
         assert_eq!(oracle.clone().hot, HotTally::default());
         let mut engine = TranslationEngine::new(MmuConfig::neummu());
-        engine.translate(&pt, VirtAddr::new(0xe00_0000), 0);
+        translate_one(&mut engine, &pt, VirtAddr::new(0xe00_0000), 0);
         assert_ne!(engine.hot, HotTally::default());
         assert_eq!(engine.clone().hot, HotTally::default());
     }
@@ -1692,28 +1668,33 @@ mod tests {
     fn oracle_memo_honors_invalidate_page() {
         let pt = mapped_table(0x200_0000, 1);
         let mut oracle = OracleTranslator::default();
-        assert!(!oracle.translate(&pt, VirtAddr::new(0x200_0000), 0).fault);
+        assert!(!translate_one(&mut oracle, &pt, VirtAddr::new(0x200_0000), 0).fault);
         // invalidate_page drops the memo; the next request re-probes and
         // still sees the (unchanged) table.
         oracle.invalidate_page(VirtAddr::new(0x200_0000));
-        assert!(!oracle.translate(&pt, VirtAddr::new(0x200_0100), 1).fault);
+        assert!(!translate_one(&mut oracle, &pt, VirtAddr::new(0x200_0100), 1).fault);
         oracle.reset();
         assert_eq!(oracle.stats().requests, 0);
-        assert!(!oracle.translate(&pt, VirtAddr::new(0x200_0200), 2).fault);
+        assert!(!translate_one(&mut oracle, &pt, VirtAddr::new(0x200_0200), 2).fault);
     }
 
     #[test]
     fn first_access_walks_then_tlb_hits() {
         let pt = mapped_table(0x100_0000, 1);
         let mut mmu = TranslationEngine::new(MmuConfig::baseline_iommu());
-        let first = mmu.translate(&pt, VirtAddr::new(0x100_0000), 0);
+        let first = translate_one(&mut mmu, &pt, VirtAddr::new(0x100_0000), 0);
         assert!(matches!(
             first.source,
             TranslationSource::PageWalk { levels_read: 4 }
         ));
         assert_eq!(first.complete_cycle, 400);
         // After the walk completes, the same page hits in the TLB.
-        let second = mmu.translate(&pt, VirtAddr::new(0x100_0040), first.complete_cycle + 1);
+        let second = translate_one(
+            &mut mmu,
+            &pt,
+            VirtAddr::new(0x100_0040),
+            first.complete_cycle + 1,
+        );
         assert_eq!(second.source, TranslationSource::TlbHit);
         assert_eq!(second.complete_cycle, second.accept_cycle + 5);
         assert_eq!(mmu.stats().walks, 1);
@@ -1727,7 +1708,7 @@ mod tests {
         let pt = mapped_table(0x200_0000, 1);
         let mut mmu = TranslationEngine::new(MmuConfig::baseline_iommu());
         for i in 0..8u64 {
-            let out = mmu.translate(&pt, VirtAddr::new(0x200_0000 + i * 64), i);
+            let out = translate_one(&mut mmu, &pt, VirtAddr::new(0x200_0000 + i * 64), i);
             assert!(matches!(out.source, TranslationSource::PageWalk { .. }));
         }
         assert_eq!(mmu.stats().walks, 8);
@@ -1741,7 +1722,7 @@ mod tests {
         let mut mmu = TranslationEngine::new(MmuConfig::neummu());
         let mut cycle = 0;
         for i in 0..8u64 {
-            let out = mmu.translate(&pt, VirtAddr::new(0x200_0000 + i * 64), cycle);
+            let out = translate_one(&mut mmu, &pt, VirtAddr::new(0x200_0000 + i * 64), cycle);
             cycle = out.accept_cycle + 1;
         }
         assert_eq!(mmu.stats().walks, 1);
@@ -1756,8 +1737,8 @@ mod tests {
         let config = MmuConfig::baseline_iommu().with_ptws(1);
         let pt = mapped_table(0x300_0000, 2);
         let mut mmu = TranslationEngine::new(config);
-        let first = mmu.translate(&pt, VirtAddr::new(0x300_0000), 0);
-        let second = mmu.translate(&pt, VirtAddr::new(0x300_1000), 1);
+        let first = translate_one(&mut mmu, &pt, VirtAddr::new(0x300_0000), 0);
+        let second = translate_one(&mut mmu, &pt, VirtAddr::new(0x300_1000), 1);
         assert_eq!(first.complete_cycle, 400);
         assert!(
             second.accept_cycle >= 400,
@@ -1775,9 +1756,9 @@ mod tests {
         let config = MmuConfig::baseline_iommu().with_ptws(1).with_prmb_slots(1);
         let pt = mapped_table(0x400_0000, 1);
         let mut mmu = TranslationEngine::new(config);
-        let a = mmu.translate(&pt, VirtAddr::new(0x400_0000), 0);
-        let b = mmu.translate(&pt, VirtAddr::new(0x400_0100), 1);
-        let c = mmu.translate(&pt, VirtAddr::new(0x400_0200), 2);
+        let a = translate_one(&mut mmu, &pt, VirtAddr::new(0x400_0000), 0);
+        let b = translate_one(&mut mmu, &pt, VirtAddr::new(0x400_0100), 1);
+        let c = translate_one(&mut mmu, &pt, VirtAddr::new(0x400_0200), 2);
         assert!(matches!(a.source, TranslationSource::PageWalk { .. }));
         assert_eq!(b.source, TranslationSource::Merged);
         // The third request stalls until the walk retires, then hits the TLB.
@@ -1795,7 +1776,7 @@ mod tests {
             let mut mmu = TranslationEngine::new(config);
             let mut cycle = 0;
             for i in 0..pages {
-                let out = mmu.translate(&pt, VirtAddr::new(0x800_0000 + i * 4096), cycle);
+                let out = translate_one(&mut mmu, &pt, VirtAddr::new(0x800_0000 + i * 4096), cycle);
                 cycle = out.complete_cycle + 1;
             }
             mmu.stats().walk_memory_accesses
@@ -1817,7 +1798,7 @@ mod tests {
         let mut mmu = TranslationEngine::new(MmuConfig::neummu().with_ptws(1).with_tlb_entries(16));
         let mut cycle = 0;
         for i in 0..pages {
-            let out = mmu.translate(&pt, VirtAddr::new(0x4000_0000 + i * 4096), cycle);
+            let out = translate_one(&mut mmu, &pt, VirtAddr::new(0x4000_0000 + i * 4096), cycle);
             cycle = out.complete_cycle + 1;
         }
         let stats = mmu.stats();
@@ -1831,7 +1812,7 @@ mod tests {
     fn unmapped_page_reports_a_fault_after_a_partial_walk() {
         let pt = PageTable::new();
         let mut mmu = TranslationEngine::new(MmuConfig::neummu());
-        let out = mmu.translate(&pt, VirtAddr::new(0x9999_0000), 0);
+        let out = translate_one(&mut mmu, &pt, VirtAddr::new(0x9999_0000), 0);
         assert!(out.fault);
         assert!(matches!(
             out.source,
@@ -1839,7 +1820,12 @@ mod tests {
         ));
         assert_eq!(mmu.stats().faults, 1);
         // A faulting walk never fills the TLB.
-        let again = mmu.translate(&pt, VirtAddr::new(0x9999_0000), out.complete_cycle + 1);
+        let again = translate_one(
+            &mut mmu,
+            &pt,
+            VirtAddr::new(0x9999_0000),
+            out.complete_cycle + 1,
+        );
         assert!(again.fault);
     }
 
@@ -1855,14 +1841,14 @@ mod tests {
         .unwrap();
         let mut mmu =
             TranslationEngine::new(MmuConfig::baseline_iommu().with_page_size(PageSize::Size2M));
-        let first = mmu.translate(&pt, VirtAddr::new(0x4000_0000), 0);
+        let first = translate_one(&mut mmu, &pt, VirtAddr::new(0x4000_0000), 0);
         assert!(matches!(
             first.source,
             TranslationSource::PageWalk { levels_read: 3 }
         ));
         assert_eq!(first.complete_cycle, 300);
         // An address 1 MB away is still in the same 2 MB page: TLB hit.
-        let second = mmu.translate(&pt, VirtAddr::new(0x4010_0000), 400);
+        let second = translate_one(&mut mmu, &pt, VirtAddr::new(0x4010_0000), 400);
         assert_eq!(second.source, TranslationSource::TlbHit);
     }
 
@@ -1870,11 +1856,21 @@ mod tests {
     fn invalidate_page_forces_a_new_walk() {
         let pt = mapped_table(0xa00_0000, 1);
         let mut mmu = TranslationEngine::new(MmuConfig::neummu());
-        let first = mmu.translate(&pt, VirtAddr::new(0xa00_0000), 0);
-        let hit = mmu.translate(&pt, VirtAddr::new(0xa00_0000), first.complete_cycle + 1);
+        let first = translate_one(&mut mmu, &pt, VirtAddr::new(0xa00_0000), 0);
+        let hit = translate_one(
+            &mut mmu,
+            &pt,
+            VirtAddr::new(0xa00_0000),
+            first.complete_cycle + 1,
+        );
         assert_eq!(hit.source, TranslationSource::TlbHit);
         mmu.invalidate_page(VirtAddr::new(0xa00_0000));
-        let after = mmu.translate(&pt, VirtAddr::new(0xa00_0000), hit.complete_cycle + 1);
+        let after = translate_one(
+            &mut mmu,
+            &pt,
+            VirtAddr::new(0xa00_0000),
+            hit.complete_cycle + 1,
+        );
         assert!(matches!(after.source, TranslationSource::PageWalk { .. }));
     }
 
@@ -1887,24 +1883,31 @@ mod tests {
         let pt_b = mapped_table(0x500_0000, 1);
         let (a, b) = (Asid::new(1), Asid::new(2));
         let mut mmu = TranslationEngine::new(MmuConfig::neummu());
-        let first = mmu.translate_tagged(&pt_a, a, VirtAddr::new(0x500_0000), 0);
+        let first = translate_one_in(&mut mmu, &pt_a, a, VirtAddr::new(0x500_0000), 0);
         assert!(matches!(first.source, TranslationSource::PageWalk { .. }));
-        let hit = mmu.translate_tagged(
+        let hit = translate_one_in(
+            &mut mmu,
             &pt_a,
             a,
             VirtAddr::new(0x500_0000),
             first.complete_cycle + 1,
         );
         assert_eq!(hit.source, TranslationSource::TlbHit);
-        let cross =
-            mmu.translate_tagged(&pt_b, b, VirtAddr::new(0x500_0000), hit.complete_cycle + 1);
+        let cross = translate_one_in(
+            &mut mmu,
+            &pt_b,
+            b,
+            VirtAddr::new(0x500_0000),
+            hit.complete_cycle + 1,
+        );
         assert!(
             matches!(cross.source, TranslationSource::PageWalk { .. }),
             "tenant B must not hit on tenant A's TLB entry, got {:?}",
             cross.source
         );
         // Once B's walk retires, both tenants hold their own entry.
-        let hit_b = mmu.translate_tagged(
+        let hit_b = translate_one_in(
+            &mut mmu,
             &pt_b,
             b,
             VirtAddr::new(0x500_0000),
@@ -1924,13 +1927,13 @@ mod tests {
         let pt_b = mapped_table(0x600_0000, 1);
         let (a, b) = (Asid::new(1), Asid::new(2));
         let mut mmu = TranslationEngine::new(MmuConfig::neummu());
-        let first = mmu.translate_tagged(&pt_a, a, VirtAddr::new(0x600_0000), 0);
-        let second = mmu.translate_tagged(&pt_b, b, VirtAddr::new(0x600_0000), 1);
+        let first = translate_one_in(&mut mmu, &pt_a, a, VirtAddr::new(0x600_0000), 0);
+        let second = translate_one_in(&mut mmu, &pt_b, b, VirtAddr::new(0x600_0000), 1);
         assert!(matches!(first.source, TranslationSource::PageWalk { .. }));
         assert!(matches!(second.source, TranslationSource::PageWalk { .. }));
         assert_eq!(mmu.stats().merged, 0);
         // Same context *does* merge.
-        let third = mmu.translate_tagged(&pt_a, a, VirtAddr::new(0x600_0040), 2);
+        let third = translate_one_in(&mut mmu, &pt_a, a, VirtAddr::new(0x600_0040), 2);
         assert_eq!(third.source, TranslationSource::Merged);
     }
 
@@ -1939,23 +1942,33 @@ mod tests {
         let pt = mapped_table(0x700_0000, 1);
         let (a, b) = (Asid::new(1), Asid::new(2));
         let mut mmu = TranslationEngine::new(MmuConfig::neummu());
-        let wa = mmu.translate_tagged(&pt, a, VirtAddr::new(0x700_0000), 0);
-        let wb = mmu.translate_tagged(&pt, b, VirtAddr::new(0x700_0000), wa.complete_cycle + 1);
+        let wa = translate_one_in(&mut mmu, &pt, a, VirtAddr::new(0x700_0000), 0);
+        let wb = translate_one_in(
+            &mut mmu,
+            &pt,
+            b,
+            VirtAddr::new(0x700_0000),
+            wa.complete_cycle + 1,
+        );
         let mut cycle = wb.complete_cycle + 1;
         mmu.flush_asid(a);
-        let after_a = mmu.translate_tagged(&pt, a, VirtAddr::new(0x700_0000), cycle);
+        let after_a = translate_one_in(&mut mmu, &pt, a, VirtAddr::new(0x700_0000), cycle);
         assert!(matches!(after_a.source, TranslationSource::PageWalk { .. }));
         cycle = after_a.complete_cycle + 1;
-        let after_b = mmu.translate_tagged(&pt, b, VirtAddr::new(0x700_0000), cycle);
+        let after_b = translate_one_in(&mut mmu, &pt, b, VirtAddr::new(0x700_0000), cycle);
         assert_eq!(after_b.source, TranslationSource::TlbHit);
     }
 
     #[test]
     fn untagged_translate_is_the_global_context() {
+        // `translate_run` is the GLOBAL shorthand of `translate_run_tagged`.
         let pt = mapped_table(0x800_0000, 1);
         let mut mmu = TranslationEngine::new(MmuConfig::neummu());
-        let walk = mmu.translate(&pt, VirtAddr::new(0x800_0000), 0);
-        let hit = mmu.translate_tagged(
+        let walk = mmu
+            .translate_run(&pt, VirtAddr::new(0x800_0000), 1, 0)
+            .first;
+        let hit = translate_one_in(
+            &mut mmu,
             &pt,
             Asid::GLOBAL,
             VirtAddr::new(0x800_0000),
@@ -1974,12 +1987,12 @@ mod tests {
         let pt_new = mapped_table(0x900_0000, 1);
         let a = Asid::new(1);
         let mut mmu = TranslationEngine::new(MmuConfig::neummu());
-        let stale = mmu.translate_tagged(&pt_old, a, VirtAddr::new(0x900_0000), 0);
+        let stale = translate_one_in(&mut mmu, &pt_old, a, VirtAddr::new(0x900_0000), 0);
         assert!(matches!(stale.source, TranslationSource::PageWalk { .. }));
         mmu.flush_asid(a);
         // Re-issued against the new table, before the stale walk completes:
         // a fresh walk, not a merge into the doomed one.
-        let fresh = mmu.translate_tagged(&pt_new, a, VirtAddr::new(0x900_0000), 1);
+        let fresh = translate_one_in(&mut mmu, &pt_new, a, VirtAddr::new(0x900_0000), 1);
         assert!(
             matches!(fresh.source, TranslationSource::PageWalk { .. }),
             "merged into a flushed walk: {:?}",
@@ -1987,7 +2000,8 @@ mod tests {
         );
         // Let both walks retire; exactly one TLB entry (the fresh walk's) may
         // exist — the flushed walk's stale translation must not have landed.
-        let after = mmu.translate_tagged(
+        let after = translate_one_in(
+            &mut mmu,
             &pt_new,
             a,
             VirtAddr::new(0x900_0000),
@@ -2004,9 +2018,9 @@ mod tests {
         let pt = mapped_table(0xf00_0000, 1);
         let (a, b) = (Asid::new(1), Asid::new(2));
         let mut mmu = TranslationEngine::new(MmuConfig::neummu());
-        mmu.translate_tagged(&pt, b, VirtAddr::new(0xf00_0000), 0);
+        translate_one_in(&mut mmu, &pt, b, VirtAddr::new(0xf00_0000), 0);
         mmu.flush_asid(a);
-        let merged = mmu.translate_tagged(&pt, b, VirtAddr::new(0xf00_0040), 1);
+        let merged = translate_one_in(&mut mmu, &pt, b, VirtAddr::new(0xf00_0040), 1);
         assert_eq!(merged.source, TranslationSource::Merged);
     }
 
@@ -2017,13 +2031,25 @@ mod tests {
         let pt = mapped_table(0x110_0000, 2);
         let (a, b) = (Asid::new(1), Asid::new(2));
         let mut mmu = TranslationEngine::new(MmuConfig::neummu());
-        let wa = mmu.translate_tagged(&pt, a, VirtAddr::new(0x110_0000), 0);
-        let wb = mmu.translate_tagged(&pt, b, VirtAddr::new(0x110_0000), wa.complete_cycle + 1);
-        let wc = mmu.translate_tagged(&pt, b, VirtAddr::new(0x110_1000), wb.complete_cycle + 1);
+        let wa = translate_one_in(&mut mmu, &pt, a, VirtAddr::new(0x110_0000), 0);
+        let wb = translate_one_in(
+            &mut mmu,
+            &pt,
+            b,
+            VirtAddr::new(0x110_0000),
+            wa.complete_cycle + 1,
+        );
+        let wc = translate_one_in(
+            &mut mmu,
+            &pt,
+            b,
+            VirtAddr::new(0x110_1000),
+            wb.complete_cycle + 1,
+        );
         let mut cycle = wc.complete_cycle + 1;
         mmu.invalidate_page(VirtAddr::new(0x110_0000));
         for asid in [a, b] {
-            let out = mmu.translate_tagged(&pt, asid, VirtAddr::new(0x110_0000), cycle);
+            let out = translate_one_in(&mut mmu, &pt, asid, VirtAddr::new(0x110_0000), cycle);
             assert!(
                 matches!(out.source, TranslationSource::PageWalk { .. }),
                 "{asid}: stale entry survived the broadcast shootdown"
@@ -2031,7 +2057,7 @@ mod tests {
             cycle = out.complete_cycle + 1;
         }
         // The *other* page's entry survives.
-        let other = mmu.translate_tagged(&pt, b, VirtAddr::new(0x110_1000), cycle);
+        let other = translate_one_in(&mut mmu, &pt, b, VirtAddr::new(0x110_1000), cycle);
         assert_eq!(other.source, TranslationSource::TlbHit);
     }
 
@@ -2039,7 +2065,7 @@ mod tests {
     fn reset_clears_state_but_keeps_configuration() {
         let pt = mapped_table(0xb00_0000, 2);
         let mut mmu = TranslationEngine::new(MmuConfig::neummu());
-        mmu.translate(&pt, VirtAddr::new(0xb00_0000), 0);
+        translate_one(&mut mmu, &pt, VirtAddr::new(0xb00_0000), 0);
         mmu.reset();
         assert_eq!(mmu.stats().requests, 0);
         assert_eq!(mmu.config().kind, MmuKind::NeuMmu);
@@ -2050,10 +2076,10 @@ mod tests {
     fn for_config_dispatches_oracle() {
         let pt = mapped_table(0xc00_0000, 1);
         let mut oracle = TranslationEngine::for_config(MmuConfig::oracle());
-        let out = oracle.translate(&pt, VirtAddr::new(0xc00_0000), 7);
+        let out = translate_one(&mut *oracle, &pt, VirtAddr::new(0xc00_0000), 7);
         assert_eq!(out.source, TranslationSource::Oracle);
         let mut engine = TranslationEngine::for_config(MmuConfig::neummu());
-        let out = engine.translate(&pt, VirtAddr::new(0xc00_0000), 7);
+        let out = translate_one(&mut *engine, &pt, VirtAddr::new(0xc00_0000), 7);
         assert!(matches!(out.source, TranslationSource::PageWalk { .. }));
     }
 
@@ -2080,7 +2106,7 @@ mod tests {
                 let va = VirtAddr::new(base + page * page_bytes);
                 let mut expected = Vec::new();
                 for i in 0..txns_per_page {
-                    let out = reference.translate(pt, va.add(i * txn_bytes), ref_cycle);
+                    let out = translate_one(&mut reference, pt, va.add(i * txn_bytes), ref_cycle);
                     ref_cycle = out.accept_cycle + 1;
                     expected.push(out);
                 }
@@ -2241,7 +2267,7 @@ mod tests {
         let mut reference = OracleTranslator::default();
         let mut cycle = 20;
         for _ in 0..4 {
-            let out = reference.translate(&pt, VirtAddr::new(0x900_0000), cycle);
+            let out = translate_one(&mut reference, &pt, VirtAddr::new(0x900_0000), cycle);
             assert!(out.fault);
             cycle = out.accept_cycle + 1;
         }
@@ -2254,7 +2280,7 @@ mod tests {
         let mut mmu = TranslationEngine::new(MmuConfig::baseline_iommu());
         let mut cycle = 0;
         for i in 0..4u64 {
-            let out = mmu.translate(&pt, VirtAddr::new(0xd00_0000 + i * 4096), cycle);
+            let out = translate_one(&mut mmu, &pt, VirtAddr::new(0xd00_0000 + i * 4096), cycle);
             cycle = out.accept_cycle + 1;
         }
         assert_eq!(
@@ -2278,8 +2304,8 @@ mod tests {
         let mut cycle = 0;
         for i in 0..512u64 {
             let va = VirtAddr::new(0xa00_0000 + (i % 64) * 4096);
-            let a = plain.translate(&pt, va, cycle);
-            let b = faulted.translate(&pt, va, cycle);
+            let a = translate_one(&mut plain, &pt, va, cycle);
+            let b = translate_one(&mut faulted, &pt, va, cycle);
             assert_eq!(a, b, "request {i} diverged under a disarmed plan");
             cycle = a.accept_cycle + 1;
         }
@@ -2304,7 +2330,7 @@ mod tests {
             resilience,
         )
         .unwrap();
-        let out = mmu.translate(&pt, VirtAddr::new(0xa00_0000), 0);
+        let out = translate_one(&mut mmu, &pt, VirtAddr::new(0xa00_0000), 0);
         assert!(!out.fault);
         let walk_latency = 4 * config.walk_latency_per_level;
         assert_eq!(
@@ -2313,7 +2339,12 @@ mod tests {
         );
         let counters = mmu.fault_counters().unwrap();
         assert_eq!(counters.total_recovered(), 1);
-        let repeat = mmu.translate(&pt, VirtAddr::new(0xa00_0000), out.complete_cycle + 1);
+        let repeat = translate_one(
+            &mut mmu,
+            &pt,
+            VirtAddr::new(0xa00_0000),
+            out.complete_cycle + 1,
+        );
         assert_eq!(repeat.source, TranslationSource::TlbHit);
     }
 
@@ -2332,13 +2363,18 @@ mod tests {
             resilience,
         )
         .unwrap();
-        let out = mmu.translate(&pt, VirtAddr::new(0xa00_0000), 0);
+        let out = translate_one(&mut mmu, &pt, VirtAddr::new(0xa00_0000), 0);
         assert!(out.fault, "a hung walk yields no usable translation");
         assert_eq!(out.complete_cycle, resilience.livelock_bound_cycles);
         assert_eq!(mmu.fault_counters().unwrap().total_hung(), 1);
         // Past the livelock bound the walk has retired — unmapped, so the
         // TLB was never filled and the next touch walks again.
-        let repeat = mmu.translate(&pt, VirtAddr::new(0xa00_0000), out.complete_cycle + 1);
+        let repeat = translate_one(
+            &mut mmu,
+            &pt,
+            VirtAddr::new(0xa00_0000),
+            out.complete_cycle + 1,
+        );
         assert!(matches!(repeat.source, TranslationSource::PageWalk { .. }));
     }
 
@@ -2360,13 +2396,18 @@ mod tests {
             resilience,
         )
         .unwrap();
-        let first = mmu.translate(&pt, VirtAddr::new(0xa00_0000), 0);
+        let first = translate_one(&mut mmu, &pt, VirtAddr::new(0xa00_0000), 0);
         assert!(!first.fault);
         let quarantine_ends = first.complete_cycle + resilience.quarantine_cooldown_cycles;
         // Issued right after the first walk retires: every walker is parked,
         // so the request stalls until readmission (where rate 1.0 strikes
         // again and the perturbed walk starts at the readmission cycle).
-        let second = mmu.translate(&pt, VirtAddr::new(0xa00_1000), first.complete_cycle + 1);
+        let second = translate_one(
+            &mut mmu,
+            &pt,
+            VirtAddr::new(0xa00_1000),
+            first.complete_cycle + 1,
+        );
         assert!(second.accept_cycle >= quarantine_ends);
         assert!(mmu.stats().structural_stalls > 0);
     }
@@ -2382,7 +2423,8 @@ mod tests {
             let mut cycle = 0;
             let mut outs = Vec::new();
             for i in 0..256u64 {
-                let out = mmu.translate(&pt, VirtAddr::new(0xa00_0000 + (i % 64) * 4096), cycle);
+                let out =
+                    translate_one(mmu, &pt, VirtAddr::new(0xa00_0000 + (i % 64) * 4096), cycle);
                 outs.push(out);
                 cycle = out.accept_cycle + 1;
             }

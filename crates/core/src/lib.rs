@@ -42,11 +42,20 @@
 //! )?;
 //! let mut mmu = TranslationEngine::new(MmuConfig::neummu());
 //! let mut cycle = 0;
-//! for i in 0..64 {
-//!     let outcome = mmu.translate(space.page_table(), seg.start().add(i * 512), cycle);
-//!     cycle = outcome.accept_cycle + 1;
+//! for page in 0..8 {
+//!     // Eight 512-byte DMA transactions per 4 KB page form one run; the
+//!     // engine resolves its first request and replays what it can.
+//!     let mut done = 0;
+//!     while done < 8 {
+//!         let va = seg.start().add(page * 4096 + done * 512);
+//!         let run =
+//!             mmu.translate_run_tagged(space.page_table(), Asid::GLOBAL, va, 8 - done, cycle);
+//!         cycle = run.last_accept() + 1;
+//!         done += run.consumed;
+//!     }
 //! }
 //! assert_eq!(mmu.stats().requests, 64);
+//! assert_eq!(mmu.stats().walks, 8); // one walk per page; the rest merge
 //! # Ok(())
 //! # }
 //! ```

@@ -12,10 +12,9 @@
 //! context: identical page numbers from different contexts never alias, all
 //! contexts compete for the shared capacity (LRU does not partition by
 //! tenant), and one tenant's entries can be flushed without disturbing the
-//! others ([`Tlb::flush_asid`]). The untagged methods operate on
-//! [`Asid::GLOBAL`] and behave exactly like the pre-ASID single-tenant TLB:
+//! others ([`Tlb::flush_asid`]). Single-tenant callers use [`Asid::GLOBAL`];
 //! the set index is computed from the page number alone, so a single-tenant
-//! run is bit-identical either way.
+//! TLB behaves exactly like an untagged one.
 
 use serde::{Deserialize, Serialize};
 
@@ -111,12 +110,6 @@ impl Tlb {
         }
     }
 
-    /// Looks up a page number in the [`Asid::GLOBAL`] context, updating LRU
-    /// state. Returns `true` on a hit.
-    pub fn lookup(&mut self, page_number: u64) -> bool {
-        self.lookup_tagged(Asid::GLOBAL, page_number)
-    }
-
     /// Looks up a page number in the given context, updating LRU state.
     /// Returns `true` on a hit. An entry hits only if both its page number
     /// *and* its ASID match — identical virtual pages of different tenants
@@ -192,25 +185,12 @@ impl Tlb {
         self.lookups += misses;
     }
 
-    /// Checks for presence in the [`Asid::GLOBAL`] context without updating
-    /// LRU state or statistics.
-    #[must_use]
-    pub fn contains(&self, page_number: u64) -> bool {
-        self.contains_tagged(Asid::GLOBAL, page_number)
-    }
-
     /// Checks for presence in the given context without updating LRU state or
     /// statistics.
     #[must_use]
     pub fn contains_tagged(&self, asid: Asid, page_number: u64) -> bool {
         let set = self.set_index(page_number);
         self.sets[set].iter().any(|e| e.matches(asid, page_number))
-    }
-
-    /// Inserts a translation into the [`Asid::GLOBAL`] context, evicting the
-    /// LRU entry of the set if needed.
-    pub fn insert(&mut self, page_number: u64) {
-        self.insert_tagged(Asid::GLOBAL, page_number);
     }
 
     /// Inserts a translation into the given context, evicting the LRU entry
@@ -251,14 +231,9 @@ impl Tlb {
         Self::adjust_occupancy(&mut self.occupancy_by_asid, asid, 1);
     }
 
-    /// Invalidates a single [`Asid::GLOBAL`] translation (used when a page is
-    /// migrated or unmapped). Returns `true` if the entry was present.
-    pub fn invalidate(&mut self, page_number: u64) -> bool {
-        self.invalidate_tagged(Asid::GLOBAL, page_number)
-    }
-
-    /// Invalidates a single translation of the given context. Returns `true`
-    /// if the entry was present.
+    /// Invalidates a single translation of the given context (used when a
+    /// page is migrated or unmapped). Returns `true` if the entry was
+    /// present.
     pub fn invalidate_tagged(&mut self, asid: Asid, page_number: u64) -> bool {
         let set_idx = self.set_index(page_number);
         let set = &mut self.sets[set_idx];
@@ -377,12 +352,14 @@ impl Tlb {
 mod tests {
     use super::*;
 
+    const G: Asid = Asid::GLOBAL;
+
     #[test]
     fn miss_then_fill_then_hit() {
         let mut tlb = Tlb::new(16, 4);
-        assert!(!tlb.lookup(42));
-        tlb.insert(42);
-        assert!(tlb.lookup(42));
+        assert!(!tlb.lookup_tagged(G, 42));
+        tlb.insert_tagged(G, 42);
+        assert!(tlb.lookup_tagged(G, 42));
         assert_eq!(tlb.hits(), 1);
         assert_eq!(tlb.lookups(), 2);
         assert!((tlb.hit_rate() - 0.5).abs() < 1e-12);
@@ -393,7 +370,7 @@ mod tests {
         let mut tlb = Tlb::new(2048, 8);
         assert_eq!(tlb.capacity(), 2048);
         for p in 0..100 {
-            tlb.insert(p);
+            tlb.insert_tagged(G, p);
         }
         assert_eq!(tlb.occupancy(), 100);
     }
@@ -402,21 +379,21 @@ mod tests {
     fn lru_evicts_least_recently_used_within_a_set() {
         // Single-set TLB makes the LRU order easy to reason about.
         let mut tlb = Tlb::new(2, 2);
-        tlb.insert(10);
-        tlb.insert(20);
+        tlb.insert_tagged(G, 10);
+        tlb.insert_tagged(G, 20);
         // Touch 10 so that 20 becomes the LRU victim.
-        assert!(tlb.lookup(10));
-        tlb.insert(30);
-        assert!(tlb.contains(10));
-        assert!(!tlb.contains(20));
-        assert!(tlb.contains(30));
+        assert!(tlb.lookup_tagged(G, 10));
+        tlb.insert_tagged(G, 30);
+        assert!(tlb.contains_tagged(G, 10));
+        assert!(!tlb.contains_tagged(G, 20));
+        assert!(tlb.contains_tagged(G, 30));
     }
 
     #[test]
     fn reinsert_refreshes_instead_of_duplicating() {
         let mut tlb = Tlb::new(4, 4);
-        tlb.insert(5);
-        tlb.insert(5);
+        tlb.insert_tagged(G, 5);
+        tlb.insert_tagged(G, 5);
         assert_eq!(tlb.occupancy(), 1);
         assert_eq!(tlb.fills(), 1);
     }
@@ -424,11 +401,11 @@ mod tests {
     #[test]
     fn invalidate_and_flush() {
         let mut tlb = Tlb::new(8, 2);
-        tlb.insert(1);
-        tlb.insert(2);
-        assert!(tlb.invalidate(1));
-        assert!(!tlb.invalidate(1));
-        assert!(!tlb.contains(1));
+        tlb.insert_tagged(G, 1);
+        tlb.insert_tagged(G, 2);
+        assert!(tlb.invalidate_tagged(G, 1));
+        assert!(!tlb.invalidate_tagged(G, 1));
+        assert!(!tlb.contains_tagged(G, 1));
         tlb.flush();
         assert_eq!(tlb.occupancy(), 0);
     }
@@ -442,10 +419,10 @@ mod tests {
         let mut hits = 0;
         for pass in 0..2 {
             for page in 0..4096u64 {
-                if tlb.lookup(page) {
+                if tlb.lookup_tagged(G, page) {
                     hits += 1;
                 }
-                tlb.insert(page);
+                tlb.insert_tagged(G, page);
                 let _ = pass;
             }
         }
@@ -456,15 +433,15 @@ mod tests {
     fn non_power_of_two_set_counts_use_the_modulo_path() {
         let mut tlb = Tlb::new(12, 2); // 6 sets: not a power of two
         for p in 0..24u64 {
-            tlb.insert(p);
+            tlb.insert_tagged(G, p);
         }
         // The last two inserts of every set are resident.
         for p in 12..24u64 {
-            assert!(tlb.contains(p), "page {p} missing");
+            assert!(tlb.contains_tagged(G, p), "page {p} missing");
         }
         assert_eq!(tlb.occupancy(), 12);
-        assert!(tlb.lookup(23));
-        assert!(!tlb.lookup(5));
+        assert!(tlb.lookup_tagged(G, 23));
+        assert!(!tlb.lookup_tagged(G, 5));
     }
 
     #[test]
@@ -481,21 +458,21 @@ mod tests {
         let mut individual = Tlb::new(4, 2);
         let mut batched = Tlb::new(4, 2);
         for tlb in [&mut individual, &mut batched] {
-            tlb.insert(0);
-            tlb.insert(2); // same set as 0 in a 2-set TLB
+            tlb.insert_tagged(G, 0);
+            tlb.insert_tagged(G, 2); // same set as 0 in a 2-set TLB
         }
         for _ in 0..7 {
-            assert!(individual.lookup(0));
+            assert!(individual.lookup_tagged(G, 0));
         }
         assert!(batched.record_run_hits(Asid::GLOBAL, 0, 7));
         assert_eq!(individual.lookups(), batched.lookups());
         assert_eq!(individual.hits(), batched.hits());
         assert_eq!(individual.fills(), batched.fills());
         // Both evict the same victim: 2 is LRU after the touches on 0.
-        individual.insert(4);
-        batched.insert(4);
-        assert!(individual.contains(0) && batched.contains(0));
-        assert!(!individual.contains(2) && !batched.contains(2));
+        individual.insert_tagged(G, 4);
+        batched.insert_tagged(G, 4);
+        assert!(individual.contains_tagged(G, 0) && batched.contains_tagged(G, 0));
+        assert!(!individual.contains_tagged(G, 2) && !batched.contains_tagged(G, 2));
         // Missing entries record nothing.
         assert!(!batched.record_run_hits(Asid::GLOBAL, 99, 3));
         // A zero-hit record is presence-check only.
@@ -512,16 +489,19 @@ mod tests {
     }
 
     #[test]
-    fn untagged_methods_are_the_global_asid() {
+    fn global_asid_is_an_ordinary_context() {
+        // The single-tenant context shares the set index with every other
+        // context and never aliases them.
         let mut tlb = Tlb::new(8, 2);
-        tlb.insert(3);
-        assert!(tlb.contains_tagged(Asid::GLOBAL, 3));
-        assert!(tlb.lookup_tagged(Asid::GLOBAL, 3));
-        assert!(tlb.invalidate_tagged(Asid::GLOBAL, 3));
-        tlb.insert_tagged(Asid::GLOBAL, 4);
-        assert!(tlb.contains(4));
-        assert!(tlb.lookup(4));
-        assert!(tlb.invalidate(4));
+        let other = Asid::new(1);
+        tlb.insert_tagged(G, 3);
+        assert!(tlb.contains_tagged(G, 3));
+        assert!(!tlb.lookup_tagged(other, 3));
+        tlb.insert_tagged(other, 3);
+        assert_eq!(tlb.occupancy_of(G), 1);
+        assert!(tlb.invalidate_tagged(G, 3));
+        assert!(tlb.lookup_tagged(other, 3));
+        assert_eq!(tlb.flush_asid(G), 0);
     }
 
     #[test]

@@ -64,17 +64,10 @@ impl Hasher for PtsHasher {
 
 type PtsMap = HashMap<(Asid, u64), usize, BuildHasherDefault<PtsHasher>>;
 
-/// The result of asking the pool to start or join a walk.
+/// The result of asking the pool to start a walk. (Joining an in-flight
+/// walk is a separate PTS probe: [`WalkerPool::try_merge_tagged`].)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WalkAdmission {
-    /// The request was merged into the in-flight walk of the given walker;
-    /// it will complete when that walk completes.
-    Merged {
-        /// Walker whose PRMB absorbed the request.
-        walker: usize,
-        /// Completion cycle of the in-flight walk.
-        completes_at: u64,
-    },
     /// A new walk was started on the given walker.
     Started {
         /// Walker that accepted the walk.
@@ -266,16 +259,6 @@ impl WalkerPool {
         retired
     }
 
-    /// Retires every walk that has completed by `cycle`, returning them in
-    /// completion order. Convenience wrapper around
-    /// [`WalkerPool::drain_completed`] for tests and inspection; the engine
-    /// hot path uses the drain form to avoid the `Vec`.
-    pub fn retire_completed(&mut self, cycle: u64) -> Vec<CompletedWalk> {
-        let mut retired = Vec::new();
-        self.drain_completed(cycle, |walk| retired.push(walk));
-        retired
-    }
-
     /// Earliest cycle at which any in-flight walk completes (`None` if idle).
     #[must_use]
     pub fn next_completion(&self) -> Option<u64> {
@@ -310,19 +293,13 @@ impl WalkerPool {
         }
     }
 
-    /// Probes the PTS for an in-flight [`Asid::GLOBAL`] walk of
-    /// `page_number` and, if present and a PRMB slot is free, merges the
-    /// request into it.
+    /// Probes the PTS for an in-flight walk of `(asid, page_number)` and, if
+    /// present and a PRMB slot is free, merges the request into it. A
+    /// request only merges into a walk of its own context.
     ///
-    /// Returns the completion cycle of the walk the request was merged into,
-    /// or `None` if no merge was possible (no in-flight walk, merging
-    /// disabled, or the walker's PRMB is full).
-    pub fn try_merge(&mut self, page_number: u64) -> Option<(usize, u64)> {
-        self.try_merge_tagged(Asid::GLOBAL, page_number)
-    }
-
-    /// [`WalkerPool::try_merge`] in the given context: a request only merges
-    /// into an in-flight walk with the same `(asid, page_number)` PTS key.
+    /// Returns the walker and completion cycle of the walk the request was
+    /// merged into, or `None` if no merge was possible (no in-flight walk,
+    /// merging disabled, or the walker's PRMB is full).
     pub fn try_merge_tagged(&mut self, asid: Asid, page_number: u64) -> Option<(usize, u64)> {
         if self.prmb_slots == 0 {
             return None;
@@ -360,27 +337,14 @@ impl WalkerPool {
         merged
     }
 
-    /// Starts a new walk at `cycle` for `page_number`, whose full walk would
-    /// read `full_levels` page-table entries and whose upper-path tag is
-    /// `tag`. `mapped` records whether the page table actually holds a
-    /// translation (an unmapped page still costs a partial walk).
+    /// Starts a new walk at `cycle` for `page_number` in context `asid`,
+    /// whose full walk would read `full_levels` page-table entries and whose
+    /// upper-path tag is `tag`. `mapped` records whether the page table
+    /// actually holds a translation (an unmapped page still costs a partial
+    /// walk). The walk's PTS entry is keyed by `(asid, page_number)` so only
+    /// same-context requests can merge into it.
     ///
     /// Returns [`WalkAdmission::Rejected`] when every walker is busy.
-    pub fn start_walk(
-        &mut self,
-        cycle: u64,
-        page_number: u64,
-        tag: PathTag,
-        full_levels: u32,
-        mapped: bool,
-    ) -> WalkAdmission {
-        self.start_walk_tagged(Asid::GLOBAL, cycle, page_number, tag, full_levels, mapped)
-    }
-
-    /// [`WalkerPool::start_walk`] in the given context: the walk's PTS entry
-    /// is keyed by `(asid, page_number)` so only same-context requests can
-    /// merge into it.
-    #[allow(clippy::too_many_arguments)]
     pub fn start_walk_tagged(
         &mut self,
         asid: Asid,
@@ -548,8 +512,31 @@ mod tests {
         PathTag::of(VirtAddr::new(page << 12))
     }
 
+    /// Starts a mapped four-level [`Asid::GLOBAL`] walk of `page`.
     fn start(pool: &mut WalkerPool, cycle: u64, page: u64) -> WalkAdmission {
-        pool.start_walk(cycle, page, tag_of_page(page), 4, true)
+        start_walk(pool, cycle, page, tag_of_page(page), 4, true)
+    }
+
+    fn start_walk(
+        pool: &mut WalkerPool,
+        cycle: u64,
+        page: u64,
+        tag: PathTag,
+        full_levels: u32,
+        mapped: bool,
+    ) -> WalkAdmission {
+        pool.start_walk_tagged(Asid::GLOBAL, cycle, page, tag, full_levels, mapped)
+    }
+
+    fn try_merge(pool: &mut WalkerPool, page: u64) -> Option<(usize, u64)> {
+        pool.try_merge_tagged(Asid::GLOBAL, page)
+    }
+
+    /// Retires every walk completed by `cycle`, collected in completion order.
+    fn retire_completed(pool: &mut WalkerPool, cycle: u64) -> Vec<CompletedWalk> {
+        let mut retired = Vec::new();
+        pool.drain_completed(cycle, |walk| retired.push(walk));
+        retired
     }
 
     #[test]
@@ -567,8 +554,8 @@ mod tests {
             other => panic!("expected Started, got {other:?}"),
         }
         assert_eq!(pool.in_flight(), 1);
-        assert!(pool.retire_completed(399).is_empty());
-        let retired = pool.retire_completed(400);
+        assert!(retire_completed(&mut pool, 399).is_empty());
+        let retired = retire_completed(&mut pool, 400);
         assert_eq!(retired.len(), 1);
         assert_eq!(retired[0].page_number, 7);
         assert_eq!(pool.in_flight(), 0);
@@ -584,7 +571,7 @@ mod tests {
             other => panic!("expected Rejected, got {other:?}"),
         }
         // After retiring, capacity is available again.
-        pool.retire_completed(400);
+        retire_completed(&mut pool, 400);
         assert!(matches!(
             start(&mut pool, 400, 3),
             WalkAdmission::Started { .. }
@@ -595,17 +582,17 @@ mod tests {
     fn merging_requires_prmb_slots() {
         let mut no_merge = WalkerPool::new(4, 0, 100, false);
         start(&mut no_merge, 0, 9);
-        assert!(no_merge.try_merge(9).is_none());
+        assert!(try_merge(&mut no_merge, 9).is_none());
 
         let mut pool = WalkerPool::new(4, 2, 100, false);
         start(&mut pool, 0, 9);
-        assert!(pool.try_merge(9).is_some());
-        assert!(pool.try_merge(9).is_some());
+        assert!(try_merge(&mut pool, 9).is_some());
+        assert!(try_merge(&mut pool, 9).is_some());
         // PRMB full after two merges.
-        assert!(pool.try_merge(9).is_none());
+        assert!(try_merge(&mut pool, 9).is_none());
         // A different page has no in-flight walk to merge into.
-        assert!(pool.try_merge(10).is_none());
-        let retired = pool.retire_completed(1_000);
+        assert!(try_merge(&mut pool, 10).is_none());
+        let retired = retire_completed(&mut pool, 1_000);
         assert_eq!(retired[0].merged_requests, 2);
     }
 
@@ -615,11 +602,11 @@ mod tests {
         start(&mut pool, 0, 9);
         // Two individual merges, then a bulk request for ten more: only the
         // six remaining slots are granted.
-        assert!(pool.try_merge(9).is_some());
-        assert!(pool.try_merge(9).is_some());
+        assert!(try_merge(&mut pool, 9).is_some());
+        assert!(try_merge(&mut pool, 9).is_some());
         assert_eq!(pool.merge_run_tagged(Asid::GLOBAL, 9, 10), 6);
         assert_eq!(pool.merge_run_tagged(Asid::GLOBAL, 9, 1), 0);
-        assert!(pool.try_merge(9).is_none());
+        assert!(try_merge(&mut pool, 9).is_none());
         // No in-flight walk, zero requests, disabled merging: all zero.
         assert_eq!(pool.merge_run_tagged(Asid::GLOBAL, 10, 4), 0);
         assert_eq!(pool.merge_run_tagged(Asid::GLOBAL, 9, 0), 0);
@@ -627,7 +614,7 @@ mod tests {
         start(&mut no_merge, 0, 9);
         assert_eq!(no_merge.merge_run_tagged(Asid::GLOBAL, 9, 4), 0);
         // The retired walk carries the bulk-merged count.
-        let retired = pool.retire_completed(u64::MAX);
+        let retired = retire_completed(&mut pool, u64::MAX);
         assert_eq!(retired[0].merged_requests, 8);
     }
 
@@ -638,7 +625,7 @@ mod tests {
             WalkAdmission::Started { completes_at, .. } => completes_at,
             other => panic!("unexpected {other:?}"),
         };
-        let (_, merged_completes) = pool.try_merge(5).unwrap();
+        let (_, merged_completes) = try_merge(&mut pool, 5).unwrap();
         assert_eq!(merged_completes, completes);
     }
 
@@ -646,13 +633,13 @@ mod tests {
     fn tpreg_skips_levels_for_same_region_walks() {
         let mut pool = WalkerPool::new(1, 0, 100, true);
         // First walk of a region reads all four levels.
-        match pool.start_walk(0, 0x1000, tag_of_page(0x1000), 4, true) {
+        match start_walk(&mut pool, 0, 0x1000, tag_of_page(0x1000), 4, true) {
             WalkAdmission::Started { levels_read, .. } => assert_eq!(levels_read, 4),
             other => panic!("unexpected {other:?}"),
         }
-        pool.retire_completed(u64::MAX);
+        retire_completed(&mut pool, u64::MAX);
         // The next page in the same 2 MB region only reads the leaf level.
-        match pool.start_walk(500, 0x1001, tag_of_page(0x1001), 4, true) {
+        match start_walk(&mut pool, 500, 0x1001, tag_of_page(0x1001), 4, true) {
             WalkAdmission::Started {
                 levels_read,
                 path_match,
@@ -672,9 +659,9 @@ mod tests {
         let mut pool = WalkerPool::new(1, 0, 100, true);
         // 2 MB pages walk three levels; even a full TPreg match must still
         // read the leaf (L2) entry.
-        pool.start_walk(0, 0, tag_of_page(0), 3, true);
-        pool.retire_completed(u64::MAX);
-        match pool.start_walk(0, 1, tag_of_page(0), 3, true) {
+        start_walk(&mut pool, 0, 0, tag_of_page(0), 3, true);
+        retire_completed(&mut pool, u64::MAX);
+        match start_walk(&mut pool, 0, 1, tag_of_page(0), 3, true) {
             WalkAdmission::Started { levels_read, .. } => assert_eq!(levels_read, 1),
             other => panic!("unexpected {other:?}"),
         }
@@ -700,7 +687,7 @@ mod tests {
         // walker also misses. Start them at different cycles.
         start(&mut pool, 100, 1);
         start(&mut pool, 0, 2);
-        let retired = pool.retire_completed(u64::MAX);
+        let retired = retire_completed(&mut pool, u64::MAX);
         assert_eq!(retired.len(), 2);
         assert!(retired[0].completed_at <= retired[1].completed_at);
         assert_eq!(retired[0].page_number, 2);
@@ -713,16 +700,19 @@ mod tests {
             start(&mut pool, 100, 1);
             start(&mut pool, 0, 2);
             start(&mut pool, 50, 3);
-            pool.try_merge(2);
+            try_merge(&mut pool, 2);
             pool
         };
         let mut drained = Vec::new();
         let mut a = build();
         let count = a.drain_completed(500, |walk| drained.push(walk));
-        let retired = build().retire_completed(500);
+        let retired = retire_completed(&mut build(), 500);
         assert_eq!(count, drained.len());
         assert_eq!(drained, retired);
         assert_eq!(drained.len(), 3);
+        assert!(drained
+            .windows(2)
+            .all(|w| w[0].completed_at <= w[1].completed_at));
         // Nothing left: the fast path reports zero without invoking the sink.
         assert_eq!(a.drain_completed(u64::MAX, |_| panic!("empty pool")), 0);
     }
@@ -745,21 +735,22 @@ mod tests {
             WalkAdmission::Started { .. }
         ));
         // Both walks retire carrying their own ASID.
-        let retired = pool.retire_completed(u64::MAX);
+        let retired = retire_completed(&mut pool, u64::MAX);
         assert_eq!(retired.len(), 2);
         let mut asids: Vec<u16> = retired.iter().map(|w| w.asid.raw()).collect();
         asids.sort_unstable();
         assert_eq!(asids, vec![1, 2]);
-        // The untagged entry points are the GLOBAL context.
-        pool.start_walk(0, 5, tag_of_page(5), 4, true);
+        // GLOBAL is an ordinary context: its walks merge only GLOBAL requests.
+        start_walk(&mut pool, 0, 5, tag_of_page(5), 4, true);
+        assert!(pool.try_merge_tagged(a, 5).is_none());
         assert!(pool.try_merge_tagged(Asid::GLOBAL, 5).is_some());
     }
 
     #[test]
     fn unmapped_pages_still_consume_a_walk() {
         let mut pool = WalkerPool::new(1, 4, 100, false);
-        pool.start_walk(0, 77, tag_of_page(77), 1, false);
-        let retired = pool.retire_completed(u64::MAX);
+        start_walk(&mut pool, 0, 77, tag_of_page(77), 1, false);
+        let retired = retire_completed(&mut pool, u64::MAX);
         assert!(!retired[0].mapped);
     }
 
@@ -782,8 +773,8 @@ mod tests {
             0,
             "perturbed walks bypass the TPreg"
         );
-        assert!(pool.retire_completed(10 + 1_233).is_empty());
-        let retired = pool.retire_completed(10 + 1_234);
+        assert!(retire_completed(&mut pool, 10 + 1_233).is_empty());
+        let retired = retire_completed(&mut pool, 10 + 1_234);
         assert_eq!(retired.len(), 1);
         assert!(retired[0].mapped);
     }
@@ -792,8 +783,8 @@ mod tests {
     fn perturbed_walk_accepts_prmb_merges() {
         let mut pool = WalkerPool::new(2, 4, 100, false);
         pool.start_walk_perturbed(Asid::GLOBAL, 0, 42, 4, 5_000, true, 0);
-        assert_eq!(pool.try_merge(42), Some((0, 5_000)));
-        let retired = pool.retire_completed(5_000);
+        assert_eq!(try_merge(&mut pool, 42), Some((0, 5_000)));
+        let retired = retire_completed(&mut pool, 5_000);
         assert_eq!(retired[0].merged_requests, 1);
     }
 
@@ -801,14 +792,14 @@ mod tests {
     fn quarantined_walker_is_parked_until_cooldown() {
         let mut pool = WalkerPool::new(1, 0, 100, false);
         pool.start_walk_perturbed(Asid::GLOBAL, 0, 42, 4, 400, true, 1_000);
-        assert_eq!(pool.retire_completed(400).len(), 1);
+        assert_eq!(retire_completed(&mut pool, 400).len(), 1);
         // The only walker is now quarantined: the pool has shrunk to zero.
         assert!(!pool.has_free_walker());
         assert_eq!(pool.quarantined_walkers(), 1);
         assert_eq!(pool.earliest_readmit(), Some(1_000));
         // A new walk is rejected with the readmission cycle, not a panic
         // (the heap is empty — there is no in-flight completion to wait on).
-        let admission = pool.start_walk(500, 43, tag_of_page(43), 4, true);
+        let admission = start_walk(&mut pool, 500, 43, tag_of_page(43), 4, true);
         assert_eq!(admission, WalkAdmission::Rejected { retry_at: 1_000 });
         // Before the cool-down expires readmission is a no-op.
         pool.readmit_quarantined(999);
@@ -818,7 +809,7 @@ mod tests {
         assert!(pool.has_free_walker());
         assert_eq!(pool.quarantined_walkers(), 0);
         assert!(matches!(
-            pool.start_walk(1_000, 43, tag_of_page(43), 4, true),
+            start_walk(&mut pool, 1_000, 43, tag_of_page(43), 4, true),
             WalkAdmission::Started { .. }
         ));
     }
@@ -828,9 +819,9 @@ mod tests {
         let mut pool = WalkerPool::new(2, 0, 100, false);
         // Walker 0 quarantines until cycle 5_000; walker 1 walks until 700.
         pool.start_walk_perturbed(Asid::GLOBAL, 0, 1, 4, 300, true, 5_000);
-        assert_eq!(pool.retire_completed(300).len(), 1);
-        pool.start_walk(300, 2, tag_of_page(2), 4, true);
-        let admission = pool.start_walk(350, 3, tag_of_page(3), 4, true);
+        assert_eq!(retire_completed(&mut pool, 300).len(), 1);
+        start_walk(&mut pool, 300, 2, tag_of_page(2), 4, true);
+        let admission = start_walk(&mut pool, 350, 3, tag_of_page(3), 4, true);
         assert_eq!(admission, WalkAdmission::Rejected { retry_at: 700 });
     }
 }

@@ -3,7 +3,20 @@
 use proptest::prelude::*;
 
 use neummu_mmu::prelude::*;
-use neummu_vmem::{MemNode, PageSize, PageTable, PhysFrameNum, VirtAddr};
+use neummu_mmu::{DeviceFaultConfig, ResilienceConfig};
+use neummu_vmem::{Asid, MemNode, PageSize, PageTable, PhysFrameNum, VirtAddr};
+
+const G: Asid = Asid::GLOBAL;
+
+/// One request through the single translate entry point: a run of count 1.
+fn translate_one(
+    translator: &mut impl AddressTranslator,
+    page_table: &PageTable,
+    va: VirtAddr,
+    cycle: u64,
+) -> TranslationOutcome {
+    translator.translate_run(page_table, va, 1, cycle).first
+}
 
 /// Builds a page table with the given 4 KB virtual pages mapped.
 fn table_with_pages(pages: &[u64]) -> PageTable {
@@ -37,11 +50,11 @@ proptest! {
         let mut tlb = Tlb::new(entries, ways);
         for (page, is_fill) in ops {
             if is_fill {
-                tlb.insert(page);
+                tlb.insert_tagged(G, page);
             } else {
-                let hit = tlb.lookup(page);
+                let hit = tlb.lookup_tagged(G, page);
                 if hit {
-                    prop_assert!(tlb.contains(page));
+                    prop_assert!(tlb.contains_tagged(G, page));
                 }
             }
             prop_assert!(tlb.occupancy() <= tlb.capacity());
@@ -55,10 +68,10 @@ proptest! {
     fn tlb_insert_then_lookup_hits(history in prop::collection::vec(0u64..4096, 0..300), probe in 0u64..4096) {
         let mut tlb = Tlb::new(128, 4);
         for page in history {
-            tlb.insert(page);
+            tlb.insert_tagged(G, page);
         }
-        tlb.insert(probe);
-        prop_assert!(tlb.lookup(probe));
+        tlb.insert_tagged(G, probe);
+        prop_assert!(tlb.lookup_tagged(G, probe));
     }
 
     /// Engine timing sanity: outcomes are accepted no earlier than issued,
@@ -73,7 +86,7 @@ proptest! {
         let mut cycle = 0u64;
         for (page, offset) in &stream {
             let va = VirtAddr::new((page << 12) | offset);
-            let outcome = engine.translate(&pt, va, cycle);
+            let outcome = translate_one(&mut engine, &pt, va, cycle);
             prop_assert!(outcome.accept_cycle >= cycle);
             prop_assert!(outcome.complete_cycle >= outcome.accept_cycle);
             prop_assert!(!outcome.fault);
@@ -101,10 +114,10 @@ proptest! {
         let mut engine_last = 0u64;
         for (page, offset) in &stream {
             let va = VirtAddr::new((page << 12) | offset);
-            let o = oracle.translate(&pt, va, oracle_cycle);
+            let o = translate_one(&mut oracle, &pt, va, oracle_cycle);
             oracle_cycle = o.accept_cycle + 1;
             oracle_last = oracle_last.max(o.complete_cycle);
-            let e = engine.translate(&pt, va, engine_cycle);
+            let e = translate_one(&mut engine, &pt, va, engine_cycle);
             engine_cycle = e.accept_cycle + 1;
             engine_last = engine_last.max(e.complete_cycle);
         }
@@ -125,7 +138,7 @@ proptest! {
             let mut cycle = 0u64;
             for (page, offset) in &stream {
                 let va = VirtAddr::new((page << 12) | offset);
-                let outcome = engine.translate(&pt, va, cycle);
+                let outcome = translate_one(&mut engine, &pt, va, cycle);
                 cycle = outcome.accept_cycle + 1;
             }
             (engine.stats().walks, engine.stats().walk_memory_accesses)
@@ -148,7 +161,7 @@ proptest! {
             );
             let mut cycle = 0u64;
             for page in &page_order {
-                let outcome = engine.translate(&pt, VirtAddr::new(page << 12), cycle);
+                let outcome = translate_one(&mut engine, &pt, VirtAddr::new(page << 12), cycle);
                 cycle = outcome.complete_cycle + 1;
             }
             engine.stats().walk_memory_accesses
@@ -172,7 +185,7 @@ proptest! {
         let mut cycle = 0u64;
         let mut last_accept: Option<u64> = None;
         for (page, offset) in &stream {
-            let outcome = engine.translate(&pt, VirtAddr::new((page << 12) | offset), cycle);
+            let outcome = translate_one(&mut engine, &pt, VirtAddr::new((page << 12) | offset), cycle);
             prop_assert!(outcome.accept_cycle >= cycle);
             if let Some(prev) = last_accept {
                 prop_assert!(outcome.accept_cycle > prev,
@@ -198,7 +211,7 @@ proptest! {
         );
         let mut cycle = 0u64;
         for (page, offset) in &stream {
-            let outcome = engine.translate(&pt, VirtAddr::new((page << 12) | offset), cycle);
+            let outcome = translate_one(&mut engine, &pt, VirtAddr::new((page << 12) | offset), cycle);
             cycle = outcome.accept_cycle + 1;
         }
         let stats = engine.stats();
@@ -222,7 +235,7 @@ proptest! {
             let mut cycle = 0u64;
             let mut outcomes = Vec::with_capacity(stream.len());
             for (page, offset) in &stream {
-                let outcome = engine.translate(&pt, VirtAddr::new((page << 12) | offset), cycle);
+                let outcome = translate_one(engine, &pt, VirtAddr::new((page << 12) | offset), cycle);
                 cycle = outcome.accept_cycle + 1;
                 outcomes.push(outcome);
             }
@@ -253,5 +266,219 @@ proptest! {
                 prop_assert_eq!(outcome.levels_read + outcome.skipped_levels, total);
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Differential check of run replay against count-1 runs
+// ---------------------------------------------------------------------------
+
+/// Transactions per 4 KB page in the differential scenarios.
+const TXNS_PER_PAGE: u64 = 16;
+/// Bytes per transaction (a page holds exactly `TXNS_PER_PAGE` of them).
+const TXN_BYTES: u64 = 4096 / TXNS_PER_PAGE;
+/// Virtual pages each tenant's address range spans.
+const DIFF_PAGES: u64 = 24;
+/// Base virtual address of every tenant's range (identical VAs across
+/// tenants, so only the ASID tag keeps them apart).
+const DIFF_BASE: u64 = 0x4000_0000;
+
+/// One step of a differential scenario: a tagged run, or a mutation of the
+/// page tables or translator state between runs.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// `count` same-page requests of `tenant`, starting at transaction
+    /// `first` of `page`, issued `gap` cycles after the previous run's last
+    /// accept (a gap lets in-flight walks retire before the run).
+    Run {
+        tenant: usize,
+        page: u64,
+        first: u64,
+        count: u64,
+        gap: u64,
+    },
+    /// Broadcast shootdown of one page in every context.
+    InvalidatePage { page: u64 },
+    /// Teardown of one tenant's cached translations and in-flight walks.
+    FlushAsid { tenant: usize },
+    /// Migration of one mapped page to a new frame.
+    Remap { tenant: usize, page: u64 },
+    /// Unmaps a mapped page or maps an unmapped one.
+    Toggle { tenant: usize, page: u64 },
+}
+
+/// Raw draw of one step: `(kind, tenant, page, first, count, gap)`.
+type RawStep = (u8, usize, u64, u64, u64, u64);
+
+/// Decodes a raw draw; runs are the common case, mutations one in four.
+fn decode_step((kind, tenant, page, first, count, gap): RawStep, tenants: usize) -> Step {
+    let tenant = tenant % tenants;
+    match kind {
+        0..=11 => Step::Run {
+            tenant,
+            page,
+            first,
+            count: count.min(TXNS_PER_PAGE - first),
+            // A third of the runs issue back to back; the rest wait up to
+            // 600 cycles, so earlier walks retire before or inside the run.
+            gap: gap.saturating_sub(300),
+        },
+        12 => Step::InvalidatePage { page },
+        13 => Step::FlushAsid { tenant },
+        14 => Step::Remap { tenant, page },
+        _ => Step::Toggle { tenant, page },
+    }
+}
+
+fn raw_steps() -> impl Strategy<Value = Vec<RawStep>> {
+    prop::collection::vec(
+        (
+            0u8..16,
+            0usize..3,
+            0u64..DIFF_PAGES,
+            0u64..TXNS_PER_PAGE,
+            1u64..=TXNS_PER_PAGE,
+            0u64..900,
+        ),
+        1..80,
+    )
+}
+
+/// The engine designs the differential check sweeps: every replay regime
+/// (hit, merge, walk), PRMB exhaustion, a thrashing TLB, a single walker,
+/// walks short enough to retire (and evict, in a direct-mapped TLB) inside
+/// a run, and an armed fault plan on merging and merge-less engines.
+fn differential_engine(design: usize) -> TranslationEngine {
+    let short_walks = |config: MmuConfig| MmuConfig {
+        walk_latency_per_level: 2,
+        tlb_ways: 1,
+        ..config.with_tlb_entries(4)
+    };
+    let configs = [
+        MmuConfig::neummu(),
+        MmuConfig::neummu()
+            .with_tlb_entries(8)
+            .with_ptws(2)
+            .with_prmb_slots(1),
+        MmuConfig::neummu().with_tpreg(false).with_ptws(1),
+        MmuConfig::baseline_iommu(),
+        MmuConfig::baseline_iommu().with_ptws(2).with_tlb_entries(8),
+        short_walks(MmuConfig::neummu().with_prmb_slots(4)),
+        short_walks(MmuConfig::baseline_iommu().with_ptws(4)),
+    ];
+    match design {
+        0..=6 => TranslationEngine::new(configs[design]),
+        7 => TranslationEngine::with_faults(
+            MmuConfig::neummu().with_ptws(4),
+            DeviceFaultConfig::uniform(0xD1FF, 0.05),
+            ResilienceConfig::all_on(),
+        )
+        .expect("valid fault config"),
+        _ => TranslationEngine::with_faults(
+            MmuConfig::baseline_iommu().with_ptws(4),
+            DeviceFaultConfig::uniform(0xD1FF, 0.05),
+            ResilienceConfig::all_on(),
+        )
+        .expect("valid fault config"),
+    }
+}
+
+/// A tenant page table with roughly three quarters of the range mapped.
+fn differential_table(tenant: usize) -> PageTable {
+    let mut pt = PageTable::new();
+    for page in 0..DIFF_PAGES {
+        if (page + tenant as u64) % 4 != 3 {
+            pt.map(
+                VirtAddr::new(DIFF_BASE + page * 4096),
+                PageSize::Size4K,
+                PhysFrameNum::new(0x10_0000 + 0x1000 * tenant as u64 + page),
+                MemNode::Npu(0),
+            )
+            .expect("distinct pages");
+        }
+    }
+    pt
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Run replay is invisible: interleaving random-length tagged runs of
+    /// two or three tenants, with shootdowns, ASID flushes, migrations and
+    /// map/unmap toggles between runs, every per-request outcome and every
+    /// statistic equals what a reference engine fed the same requests as
+    /// runs of count 1 reports.
+    #[test]
+    fn run_replay_matches_count_one_runs_under_mutation(
+        raw in raw_steps(),
+        design in 0usize..9,
+        tenants in 2usize..4,
+    ) {
+        let mut tables: Vec<PageTable> = (0..tenants).map(differential_table).collect();
+        let asids: Vec<Asid> = (0..tenants).map(|t| Asid::new(t as u16 + 1)).collect();
+        let mut coalesced = differential_engine(design);
+        let mut reference = differential_engine(design);
+        let mut cycle = 0u64;
+        let mut next_frame = 0x80_0000u64;
+        for (index, step) in raw.into_iter().map(|r| decode_step(r, tenants)).enumerate() {
+            match step {
+                Step::Run { tenant, page, first, count, gap } => {
+                    let (pt, asid) = (&tables[tenant], asids[tenant]);
+                    let va = |i: u64| VirtAddr::new(DIFF_BASE + page * 4096 + (first + i) * TXN_BYTES);
+                    let issue = cycle + gap;
+                    let mut expected = Vec::new();
+                    let mut ref_cycle = issue;
+                    for i in 0..count {
+                        let one = reference.translate_run_tagged(pt, asid, va(i), 1, ref_cycle);
+                        prop_assert_eq!(one.consumed, 1);
+                        ref_cycle = one.first.accept_cycle + 1;
+                        expected.push(one.first);
+                    }
+                    let mut produced = Vec::new();
+                    let mut run_cycle = issue;
+                    while (produced.len() as u64) < count {
+                        let done = produced.len() as u64;
+                        let out = coalesced.translate_run_tagged(pt, asid, va(done), count - done, run_cycle);
+                        prop_assert!(out.consumed >= 1 && out.consumed <= count - done);
+                        for j in 0..out.consumed {
+                            produced.push(out.outcome(j));
+                        }
+                        run_cycle = out.last_accept() + 1;
+                    }
+                    prop_assert_eq!(&produced, &expected, "step {}: {:?}", index, step);
+                    prop_assert_eq!(run_cycle, ref_cycle);
+                    cycle = run_cycle;
+                }
+                Step::InvalidatePage { page } => {
+                    let va = VirtAddr::new(DIFF_BASE + page * 4096);
+                    coalesced.invalidate_page(va);
+                    reference.invalidate_page(va);
+                }
+                Step::FlushAsid { tenant } => {
+                    coalesced.flush_asid(asids[tenant]);
+                    reference.flush_asid(asids[tenant]);
+                }
+                Step::Remap { tenant, page } => {
+                    let va = VirtAddr::new(DIFF_BASE + page * 4096);
+                    if tables[tenant].remap(va, PhysFrameNum::new(next_frame), MemNode::Host).is_ok() {
+                        next_frame += 1;
+                    }
+                }
+                Step::Toggle { tenant, page } => {
+                    let va = VirtAddr::new(DIFF_BASE + page * 4096);
+                    if tables[tenant].unmap(va).is_err() {
+                        tables[tenant]
+                            .map(va, PageSize::Size4K, PhysFrameNum::new(next_frame), MemNode::Npu(0))
+                            .expect("an unmapped page maps");
+                        next_frame += 1;
+                    }
+                }
+            }
+            prop_assert_eq!(coalesced.stats(), reference.stats(), "step {}: {:?}", index, step);
+        }
+        prop_assert_eq!(coalesced.tlb().lookups(), reference.tlb().lookups());
+        prop_assert_eq!(coalesced.tlb().hits(), reference.tlb().hits());
+        prop_assert_eq!(coalesced.tlb().fills(), reference.tlb().fills());
+        prop_assert_eq!(coalesced.fault_counters(), reference.fault_counters());
     }
 }

@@ -350,14 +350,6 @@ impl DmaEngine {
         }
     }
 
-    /// Decomposes a tile fetch into linearized memory transactions,
-    /// materialized as a `Vec` (convenience form of
-    /// [`DmaEngine::transaction_iter`] for tests and inspection).
-    #[must_use]
-    pub fn transactions(&self, fetch: &TileFetch) -> Vec<MemTransaction> {
-        self.transaction_iter(fetch).collect()
-    }
-
     /// Number of transactions a fetch decomposes into, without materializing
     /// them.
     #[must_use]
@@ -412,9 +404,31 @@ mod tests {
         }
     }
 
+    /// Reference decomposition of a fetch, materialized and computed without
+    /// the streaming iterator: the byte range split at every multiple of the
+    /// transaction size.
+    fn transactions(eng: &DmaEngine, fetch: &TileFetch) -> Vec<MemTransaction> {
+        let txn = eng.config().max_transaction_bytes;
+        let mut cuts = vec![fetch.offset];
+        cuts.extend(
+            (fetch.offset / txn + 1..)
+                .map(|k| k * txn)
+                .take_while(|&c| c < fetch.end()),
+        );
+        cuts.push(fetch.end());
+        cuts.windows(2)
+            .filter(|w| w[1] > w[0])
+            .map(|w| MemTransaction {
+                kind: fetch.kind,
+                offset: w[0],
+                bytes: w[1] - w[0],
+            })
+            .collect()
+    }
+
     #[test]
     fn aligned_fetch_decomposes_into_equal_transactions() {
-        let txns = engine().transactions(&fetch(0, 4096));
+        let txns = transactions(&engine(), &fetch(0, 4096));
         assert_eq!(txns.len(), 8);
         assert!(txns.iter().all(|t| t.bytes == 512));
         assert_eq!(txns[0].offset, 0);
@@ -423,7 +437,7 @@ mod tests {
 
     #[test]
     fn unaligned_fetch_has_short_head_and_tail() {
-        let txns = engine().transactions(&fetch(100, 1024));
+        let txns = transactions(&engine(), &fetch(100, 1024));
         let total: u64 = txns.iter().map(|t| t.bytes).sum();
         assert_eq!(total, 1024);
         assert_eq!(txns.first().unwrap().offset, 100);
@@ -447,7 +461,7 @@ mod tests {
             let f = fetch(off, len);
             assert_eq!(
                 engine().transaction_count(&f),
-                engine().transactions(&f).len() as u64,
+                transactions(&engine(), &f).len() as u64,
                 "mismatch for offset {off} len {len}"
             );
         }
@@ -489,7 +503,7 @@ mod tests {
             let iter = engine().transaction_iter(&f);
             assert_eq!(iter.len() as u64, engine().transaction_count(&f));
             let streamed: Vec<MemTransaction> = iter.collect();
-            assert_eq!(streamed, engine().transactions(&f));
+            assert_eq!(streamed, transactions(&engine(), &f));
         }
     }
 
@@ -497,7 +511,7 @@ mod tests {
     /// against the reference per-transaction decomposition.
     fn assert_runs_partition(fetch: &TileFetch, base_va: u64, page_bytes: u64) {
         let eng = engine();
-        let reference = eng.transactions(fetch);
+        let reference = transactions(&eng, fetch);
         let mut rebuilt = Vec::new();
         let mut prev_page = None;
         for run in eng.page_runs(fetch, base_va, page_bytes) {
@@ -553,7 +567,7 @@ mod tests {
             translations_per_cycle: 1,
         });
         let f = fetch(500, 30_000);
-        let reference = eng.transactions(&f);
+        let reference = transactions(&eng, &f);
         let rebuilt: Vec<MemTransaction> = eng
             .page_runs(&f, 0, 4096)
             .flat_map(|run| (0..run.txn_count).map(move |i| run.txn(i)))
@@ -592,8 +606,7 @@ mod tests {
             offset: 0,
             bytes: 2048,
         };
-        assert!(engine()
-            .transactions(&f)
+        assert!(transactions(&engine(), &f)
             .iter()
             .all(|t| t.kind == TensorKind::InputActivation));
     }

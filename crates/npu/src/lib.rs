@@ -31,8 +31,8 @@
 //! let dma = DmaEngine::new(npu.dma);
 //! let first_tile = &plan.tiles()[0];
 //! if let Some(fetch) = &first_tile.ia_fetch {
-//!     let txns = dma.transactions(fetch);
-//!     assert!(!txns.is_empty());
+//!     let txns = dma.transaction_iter(fetch);
+//!     assert_eq!(txns.len() as u64, dma.transaction_count(fetch));
 //! }
 //! ```
 

@@ -78,7 +78,7 @@ proptest! {
     fn dma_transactions_cover_the_fetch(offset in 0u64..(1u64 << 30), bytes in 1u64..(8u64 << 20), txn_pow in 6u32..13) {
         let dma = DmaEngine::new(DmaConfig { max_transaction_bytes: 1 << txn_pow, translations_per_cycle: 1 });
         let fetch = TileFetch { kind: TensorKind::Weight, offset, bytes };
-        let txns = dma.transactions(&fetch);
+        let txns: Vec<_> = dma.transaction_iter(&fetch).collect();
         prop_assert_eq!(txns.len() as u64, dma.transaction_count(&fetch));
         prop_assert_eq!(txns.first().unwrap().offset, offset);
         prop_assert_eq!(txns.last().unwrap().end(), offset + bytes);

@@ -37,10 +37,11 @@
 use serde::{Deserialize, Serialize};
 
 use neummu_mem::dram::{DramConfig, DramModel};
-use neummu_mmu::{MmuConfig, MmuKind, TranslationEngine, TranslationSource};
+use neummu_mmu::{AddressTranslator, MmuConfig, MmuKind, TranslationEngine, TranslationSource};
 use neummu_npu::{DmaEngine, NpuConfig, PageRun, PageRunIter, TileFetch, TilingPlan};
 use neummu_vmem::{
-    AddressSpaceRegistry, Asid, MemNode, NodeSpec, PhysicalMemory, SegmentOptions, VirtAddr,
+    AddressSpaceRegistry, Asid, MemNode, NodeSpec, PageTable, PhysicalMemory, SegmentOptions,
+    VirtAddr,
 };
 use neummu_workloads::{DenseWorkload, WorkloadId};
 
@@ -246,6 +247,21 @@ impl MultiTenantResult {
     }
 }
 
+/// What one service quantum of a tenant's stream did on the translation front
+/// end (see [`TenantStream::serve_quantum`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Served {
+    /// Transactions translated and scheduled: the quota, unless a finite
+    /// stream ran dry first.
+    pub(crate) consumed: u64,
+    /// Issue cycle of the tenant's next request (last accept + 1).
+    pub(crate) clock: u64,
+    /// Latest data-ready cycle of the quantum's transactions (0 if none).
+    pub(crate) ready_max: u64,
+    /// Translation-stall cycles (accept minus issue) the quantum spent.
+    pub(crate) stall: u64,
+}
+
 /// One tenant's DMA translation stream: the page-run decomposition of its
 /// layers' tile fetches, yielded lazily in program order.
 ///
@@ -317,6 +333,82 @@ impl TenantStream {
         } else {
             Some((base, run))
         }
+    }
+
+    /// Serves up to `quota` transactions of the stream on `engine`, the first
+    /// issued at `clock` and each later one a cycle after the previous
+    /// accept. Every same-page run goes through the engine's run-coalesced
+    /// path, is tallied into `stats` by translation source, and has its data
+    /// scheduled on `dram`; the unreplayed remainder of a run returns to the
+    /// front of the stream. The one run-serving loop of both tenant drivers:
+    /// the closed-loop [`TenantScheduler`] and the open-loop
+    /// [`crate::serving::ServingSimulator`] each keep only their own tenant
+    /// picking, clocking, completion and trace-label code.
+    pub(crate) fn serve_quantum(
+        &mut self,
+        engine: &mut TranslationEngine,
+        dram: &mut DramModel,
+        page_table: &PageTable,
+        stats: &mut TenantStats,
+        quota: u64,
+        clock: u64,
+    ) -> Served {
+        let page_bytes = engine.config().page_size.bytes();
+        let mut served = Served {
+            consumed: 0,
+            clock,
+            ready_max: 0,
+            stall: 0,
+        };
+        while served.consumed < quota {
+            let Some((base, run)) = self.next_run(quota - served.consumed, page_bytes) else {
+                break;
+            };
+            let issue = served.clock;
+            let va = VirtAddr::new(base + run.first.offset);
+            let out = engine.translate_run_tagged(page_table, stats.asid, va, run.txn_count, issue);
+            let stall = out.first.accept_cycle - issue;
+            stats.requests += out.consumed;
+            stats.stall_cycles += stall;
+            for (source, requests) in [(out.first.source, 1), (out.replay_source, out.replayed())] {
+                if requests == 0 {
+                    continue;
+                }
+                match source {
+                    TranslationSource::TlbHit => stats.tlb_hits += requests,
+                    TranslationSource::Merged => stats.merged += requests,
+                    TranslationSource::PageWalk { levels_read } => {
+                        stats.walks += requests;
+                        stats.walk_levels_read += requests * u64::from(levels_read);
+                    }
+                    TranslationSource::Oracle => unreachable!("oracle configs are rejected"),
+                }
+            }
+            if out.first.fault {
+                stats.faults += 1;
+            }
+            if out.replay_fault {
+                stats.faults += out.replayed();
+            }
+            let scheduled = run.prefix(out.consumed);
+            let data_ready = dram.schedule_run(
+                out.first.complete_cycle,
+                out.complete_stride,
+                scheduled.txn_count,
+                scheduled.first.bytes,
+                scheduled.interior_txn_bytes(),
+                scheduled.txn_len(scheduled.txn_count - 1),
+            );
+            stats.completion_cycle = stats.completion_cycle.max(data_ready);
+            served.consumed += out.consumed;
+            served.clock = out.last_accept() + 1;
+            served.ready_max = served.ready_max.max(data_ready);
+            served.stall += stall;
+            if out.consumed < run.txn_count {
+                self.push_back(base, run.suffix(out.consumed));
+            }
+        }
+        served
     }
 
     /// Returns the unconsumed tail of a run to the front of the stream.
@@ -530,7 +622,6 @@ impl TenantScheduler {
         // tenants in exactly the order the original `VecDeque` rotation did
         // (pop front, serve, push back), so default runs are bit-identical to
         // the pre-policy scheduler.
-        let page_bytes = config.mmu.page_size.bytes();
         // One `tenant/turn` trace span per scheduler turn: the tenant's slice
         // of the shared front end, in simulated cycles, with the number of
         // transactions it got through as the payload.
@@ -561,70 +652,21 @@ impl TenantScheduler {
             let tenant = policy_state
                 .pick(&live, &depths, &occupancies, tlb_capacity)
                 .expect("at least one tenant is live");
-            use neummu_mmu::AddressTranslator as _;
             let slot = resources.index_for(tenant);
             let asid = stats[tenant].asid;
             let turn_start = resources.clocks[slot];
             let space = registry.get(asid).expect("registered above");
-            let page_table = space.page_table();
-            let mut exhausted = false;
-            let mut quota = config.burst_transactions;
-            while quota > 0 {
-                let Some((base, run)) = streams[tenant].next_run(quota, page_bytes) else {
-                    exhausted = true;
-                    break;
-                };
-                let issue = resources.clocks[slot];
-                let va = VirtAddr::new(base + run.first.offset);
-                let out = resources.engines[slot].translate_run_tagged(
-                    page_table,
-                    asid,
-                    va,
-                    run.txn_count,
-                    issue,
-                );
-                let tenant_stats = &mut stats[tenant];
-                tenant_stats.requests += out.consumed;
-                tenant_stats.stall_cycles += out.first.accept_cycle - issue;
-                for (source, requests) in
-                    [(out.first.source, 1), (out.replay_source, out.replayed())]
-                {
-                    if requests == 0 {
-                        continue;
-                    }
-                    match source {
-                        TranslationSource::TlbHit => tenant_stats.tlb_hits += requests,
-                        TranslationSource::Merged => tenant_stats.merged += requests,
-                        TranslationSource::PageWalk { levels_read } => {
-                            tenant_stats.walks += requests;
-                            tenant_stats.walk_levels_read += requests * u64::from(levels_read);
-                        }
-                        TranslationSource::Oracle => unreachable!("oracle configs are rejected"),
-                    }
-                }
-                if out.first.fault {
-                    tenant_stats.faults += 1;
-                }
-                if out.replay_fault {
-                    tenant_stats.faults += out.replayed();
-                }
-                resources.clocks[slot] = out.last_accept() + 1;
-                let scheduled = run.prefix(out.consumed);
-                let data_ready = resources.drams[slot].schedule_run(
-                    out.first.complete_cycle,
-                    out.complete_stride,
-                    scheduled.txn_count,
-                    scheduled.first.bytes,
-                    scheduled.interior_txn_bytes(),
-                    scheduled.txn_len(scheduled.txn_count - 1),
-                );
-                tenant_stats.completion_cycle = tenant_stats.completion_cycle.max(data_ready);
-                quota -= out.consumed;
-                if out.consumed < run.txn_count {
-                    streams[tenant].push_back(base, run.suffix(out.consumed));
-                }
-            }
-            let consumed = config.burst_transactions - quota;
+            let served = streams[tenant].serve_quantum(
+                &mut resources.engines[slot],
+                &mut resources.drams[slot],
+                space.page_table(),
+                &mut stats[tenant],
+                config.burst_transactions,
+                turn_start,
+            );
+            resources.clocks[slot] = served.clock;
+            let consumed = served.consumed;
+            let exhausted = consumed < config.burst_transactions;
             if let Some((sink, kind)) = turn_trace {
                 if consumed > 0 {
                     sink.emit(neummu_trace::Event {

@@ -44,10 +44,9 @@ use serde::{Deserialize, Serialize};
 use neummu_mem::dram::{DramConfig, DramModel};
 use neummu_mmu::{
     DeviceFaultConfig, FaultCounters, MmuConfig, MmuKind, ResilienceConfig, TranslationEngine,
-    TranslationSource,
 };
 use neummu_npu::{DmaEngine, NpuConfig};
-use neummu_vmem::{AddressSpaceRegistry, MemNode, VirtAddr};
+use neummu_vmem::{AddressSpaceRegistry, MemNode};
 use neummu_workloads::WorkloadId;
 
 use crate::error::SimError;
@@ -438,7 +437,6 @@ impl ServingSimulator {
     /// * Propagates tiling and mapping errors.
     #[allow(clippy::too_many_lines)]
     pub fn run(&self, tenants: &[ServingTenantSpec]) -> Result<ServingResult, SimError> {
-        use neummu_mmu::AddressTranslator as _;
         let config = &self.config;
         self.validate(tenants)?;
 
@@ -490,7 +488,6 @@ impl ServingSimulator {
         };
         let mut dram = DramModel::new(config.dram);
         let tlb_capacity = engine.tlb().capacity() as u64;
-        let page_bytes = config.mmu.page_size.bytes();
         let weights: Vec<u64> = tenants.iter().map(|t| t.weight).collect();
         let mut policy_state = PolicyState::new(config.policy, tenants.len(), &weights);
         let mut depths = vec![0u64; tenants.len()];
@@ -584,67 +581,25 @@ impl ServingSimulator {
                 lane.in_service = Some((request, config.txns_per_request, 0, 0));
             }
             let space = registry.get(asid).expect("registered above");
-            let page_table = space.page_table();
             let turn_start = now;
-            let (_, txns_left, _, _) = lane.in_service.expect("set above");
-            let mut quota = config.burst_transactions.min(txns_left);
-            let granted = quota;
-            while quota > 0 {
-                let (base, run) = lane
-                    .stream
-                    .next_run(quota, page_bytes)
-                    .expect("cyclic streams never run dry");
-                let issue = now;
-                let va = VirtAddr::new(base + run.first.offset);
-                let out = engine.translate_run_tagged(page_table, asid, va, run.txn_count, issue);
-                let translation = &mut tenant_stats.translation;
-                translation.requests += out.consumed;
-                translation.stall_cycles += out.first.accept_cycle - issue;
-                for (source, requests) in
-                    [(out.first.source, 1), (out.replay_source, out.replayed())]
-                {
-                    if requests == 0 {
-                        continue;
-                    }
-                    match source {
-                        TranslationSource::TlbHit => translation.tlb_hits += requests,
-                        TranslationSource::Merged => translation.merged += requests,
-                        TranslationSource::PageWalk { levels_read } => {
-                            translation.walks += requests;
-                            translation.walk_levels_read += requests * u64::from(levels_read);
-                        }
-                        TranslationSource::Oracle => unreachable!("oracle configs are rejected"),
-                    }
-                }
-                if out.first.fault {
-                    translation.faults += 1;
-                }
-                if out.replay_fault {
-                    translation.faults += out.replayed();
-                }
-                now = out.last_accept() + 1;
-                let scheduled = run.prefix(out.consumed);
-                let data_ready = dram.schedule_run(
-                    out.first.complete_cycle,
-                    out.complete_stride,
-                    scheduled.txn_count,
-                    scheduled.first.bytes,
-                    scheduled.interior_txn_bytes(),
-                    scheduled.txn_len(scheduled.txn_count - 1),
-                );
-                translation.completion_cycle = translation.completion_cycle.max(data_ready);
-                let (_, txns_left, ready_max, stall) =
-                    lane.in_service.as_mut().expect("in service");
-                *txns_left -= out.consumed;
-                *ready_max = (*ready_max).max(data_ready);
-                *stall += out.first.accept_cycle - issue;
-                quota -= out.consumed;
-                if out.consumed < run.txn_count {
-                    lane.stream.push_back(base, run.suffix(out.consumed));
-                }
-            }
-            let (request, txns_left, ready_max, stall) = lane.in_service.expect("in service");
-            if txns_left == 0 {
+            let (request, txns_left, ready_max, stall) = lane.in_service.expect("set above");
+            let granted = config.burst_transactions.min(txns_left);
+            let served = lane.stream.serve_quantum(
+                &mut engine,
+                &mut dram,
+                space.page_table(),
+                &mut tenant_stats.translation,
+                granted,
+                now,
+            );
+            assert_eq!(served.consumed, granted, "cyclic streams never run dry");
+            now = served.clock;
+            let txns_left = txns_left - served.consumed;
+            let ready_max = ready_max.max(served.ready_max);
+            let stall = stall + served.stall;
+            if txns_left > 0 {
+                lane.in_service = Some((request, txns_left, ready_max, stall));
+            } else {
                 lane.in_service = None;
                 lane.queue.complete();
                 let sojourn = ready_max.saturating_sub(request.arrival_cycle);
@@ -663,18 +618,15 @@ impl ServingSimulator {
                     }
                 }
             }
-            policy_state.charge(tenant, granted - quota);
+            policy_state.charge(tenant, granted);
             if let Some((sink, kind)) = turn_trace {
-                let consumed = granted - quota;
-                if consumed > 0 {
-                    sink.emit(neummu_trace::Event {
-                        kind,
-                        asid: asid.raw(),
-                        start: turn_start,
-                        end: now,
-                        payload: consumed,
-                    });
-                }
+                sink.emit(neummu_trace::Event {
+                    kind,
+                    asid: asid.raw(),
+                    start: turn_start,
+                    end: now,
+                    payload: granted,
+                });
             }
         }
 

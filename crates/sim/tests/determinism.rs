@@ -126,14 +126,19 @@ fn oracle_cache_is_shared_across_experiment_families() {
 
 #[test]
 fn dma_transaction_iterator_matches_the_materialized_vec_path() {
-    // PR 3 switched the simulators from `DmaEngine::transactions` (one Vec
-    // per tile fetch) to the streaming `transaction_iter`. The two must issue
-    // the identical transaction sequence for every fetch shape the tiling
-    // planner can produce — including the real fetches of a paper workload.
-    use neummu_npu::{DmaEngine, Layer, TilingPlan};
+    // The simulators stream transactions (`transaction_iter`) or same-page
+    // runs of them (`page_runs`). Materialized, the two must be the identical
+    // transaction sequence for every fetch shape the tiling planner can
+    // produce — including the real fetches of a paper workload.
+    use neummu_npu::{DmaEngine, Layer, MemTransaction, TileFetch, TilingPlan};
 
     let npu = NpuConfig::tpu_like();
     let dma = DmaEngine::new(npu.dma);
+    let materialized = |fetch: &TileFetch| -> Vec<MemTransaction> {
+        dma.page_runs(fetch, 0, 4096)
+            .flat_map(|run| (0..run.txn_count).map(move |i| run.txn(i)))
+            .collect()
+    };
 
     // Synthetic edge shapes: empty, sub-transaction, unaligned head/tail.
     for (offset, bytes) in [(0u64, 0u64), (0, 1), (7, 510), (511, 2), (4096, 5 << 20)] {
@@ -145,7 +150,7 @@ fn dma_transaction_iterator_matches_the_materialized_vec_path() {
         let streamed: Vec<_> = dma.transaction_iter(&fetch).collect();
         assert_eq!(
             streamed,
-            dma.transactions(&fetch),
+            materialized(&fetch),
             "offset {offset} bytes {bytes}"
         );
     }
@@ -160,7 +165,7 @@ fn dma_transaction_iterator_matches_the_materialized_vec_path() {
             .flatten()
         {
             let streamed: Vec<_> = dma.transaction_iter(fetch).collect();
-            assert_eq!(streamed, dma.transactions(fetch));
+            assert_eq!(streamed, materialized(fetch));
             assert_eq!(
                 dma.transaction_iter(fetch).len() as u64,
                 dma.transaction_count(fetch)

@@ -2,7 +2,7 @@
 //!
 //! The tentpole guarantee is bit-exactness: driving a DMA transaction stream
 //! through `translate_run` + `DramModel::schedule_run` must reproduce the
-//! per-transaction `translate` + `schedule_transfer` sequence exactly — same
+//! per-transaction sequence (runs of count 1 + `schedule_transfer`) exactly — same
 //! per-request outcomes, same cycle schedules, same engine statistics, same
 //! TLB counters — for *any* tile shape, transaction grain, page-size mix,
 //! TLB geometry and walker/PRMB budget. These tests throw randomized
@@ -68,7 +68,9 @@ fn per_transaction_phase(
     for _ in 0..passes {
         for fetch in fetches {
             for txn in dma.transaction_iter(fetch) {
-                let out = engine.translate(pt, VirtAddr::new(base + txn.offset), issue_cycle);
+                let out = engine
+                    .translate_run(pt, VirtAddr::new(base + txn.offset), 1, issue_cycle)
+                    .first;
                 issue_cycle = out.accept_cycle + 1;
                 data_ready.push(dram.schedule_transfer(out.complete_cycle, txn.bytes));
                 outcomes.push(out);

@@ -58,10 +58,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut mmu = TranslationEngine::new(MmuConfig::neummu());
     let mut cycle = 0;
     let mut sources = Vec::new();
-    for i in 0..16u64 {
-        let outcome = mmu.translate(space.page_table(), weights.addr_at(i * 512), cycle);
-        cycle = outcome.accept_cycle + 1;
-        sources.push(outcome.source);
+    let mut issued = 0u64;
+    while issued < 16 {
+        // One run per page: eight transactions minus those already issued.
+        let count = 8 - issued % 8;
+        let run = mmu.translate_run(
+            space.page_table(),
+            weights.addr_at(issued * 512),
+            count,
+            cycle,
+        );
+        cycle = run.last_accept() + 1;
+        sources.extend((0..run.consumed).map(|j| run.outcome(j).source));
+        issued += run.consumed;
     }
     let walks = sources
         .iter()

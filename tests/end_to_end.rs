@@ -34,8 +34,15 @@ fn facade_reexports_are_usable_together() {
         )
         .unwrap();
     let mut mmu = TranslationEngine::new(MmuConfig::neummu());
-    let outcome = mmu.translate(space.page_table(), seg.start(), 0);
-    assert!(matches!(outcome.source, TranslationSource::PageWalk { .. }));
+    // A DMA burst of eight 512-byte transactions to the segment's first page:
+    // one walk, the other seven replayed as merges into it.
+    let run = mmu.translate_run_tagged(space.page_table(), Asid::GLOBAL, seg.start(), 8, 0);
+    assert!(matches!(
+        run.first.source,
+        TranslationSource::PageWalk { .. }
+    ));
+    assert_eq!(run.consumed, 8);
+    assert_eq!(run.replay_source, TranslationSource::Merged);
 
     let plan = TilingPlan::for_layer(&probe_layer(), &NpuConfig::tpu_like()).unwrap();
     assert!(plan.tile_count() >= 1);
@@ -120,8 +127,13 @@ fn page_migration_is_visible_to_the_translation_engine() {
     let mut mmu = TranslationEngine::new(MmuConfig::neummu());
 
     // Warm the TLB with the remote mapping.
-    let first = mmu.translate(space.page_table(), va, 0);
-    let warm = mmu.translate(space.page_table(), va, first.complete_cycle + 1);
+    let tenant = Asid::GLOBAL;
+    let first = mmu
+        .translate_run_tagged(space.page_table(), tenant, va, 1, 0)
+        .first;
+    let warm = mmu
+        .translate_run_tagged(space.page_table(), tenant, va, 1, first.complete_cycle + 1)
+        .first;
     assert_eq!(warm.source, TranslationSource::TlbHit);
     assert_eq!(space.translate(va).unwrap().node, MemNode::Npu(1));
 
@@ -131,7 +143,9 @@ fn page_migration_is_visible_to_the_translation_engine() {
         .migrate_page(va, MemNode::Npu(0), &mut memory)
         .unwrap();
     mmu.invalidate_page(va);
-    let after = mmu.translate(space.page_table(), va, warm.complete_cycle + 1);
+    let after = mmu
+        .translate_run_tagged(space.page_table(), tenant, va, 1, warm.complete_cycle + 1)
+        .first;
     assert!(matches!(after.source, TranslationSource::PageWalk { .. }));
     assert_eq!(space.translate(va).unwrap().node, MemNode::Npu(0));
 }

@@ -15,15 +15,18 @@
 //!
 //! ```text
 //! cargo run --release --bin neummu_experiments -- --quick --out /tmp/golden \
-//!     --only fig08,fig12b,fig13,mmu_cache,table1,serving
-//! cp /tmp/golden/{fig08_baseline_iommu,fig12b_energy_perf,fig13_tpreg_hit_rate,mmu_cache_uptc_vs_tpc,serving_sweep}.json \
+//!     --only fig08,fig12b,fig13,mmu_cache,table1,multitenant,serving
+//! cp /tmp/golden/{fig08_baseline_iommu,fig12b_energy_perf,fig13_tpreg_hit_rate,mmu_cache_uptc_vs_tpc,multitenant_sweep,serving_sweep}.json \
 //!    /tmp/golden/table1_configuration.{csv,md} /tmp/golden/serving_goodput.md \
-//!    /tmp/golden/serving_slo.csv crates/bench/tests/golden/
+//!    /tmp/golden/multitenant_tenant_counters.csv /tmp/golden/serving_slo.csv \
+//!    crates/bench/tests/golden/
 //! ```
 
 use serde::Serialize;
 
-use neummu_sim::experiments::{mmu_cache_study, performance, serving, table1, ExperimentScale};
+use neummu_sim::experiments::{
+    mmu_cache_study, multi_tenant, performance, serving, table1, ExperimentScale,
+};
 use neummu_sim::ExperimentRunner;
 
 const SMOKE: ExperimentScale = ExperimentScale::Smoke;
@@ -83,6 +86,24 @@ fn mmu_cache_json_matches_golden() {
         "mmu_cache_uptc_vs_tpc.json",
         include_str!("golden/mmu_cache_uptc_vs_tpc.json"),
         &to_artifact_json(&result),
+    );
+}
+
+#[test]
+fn multitenant_sweep_artifacts_match_golden() {
+    // Pins the closed-loop tenant driver end to end: the shared-run counters
+    // of every sweep point and the solo-run baselines they are compared to.
+    let runner = ExperimentRunner::new(4);
+    let result = multi_tenant::tenant_sweep_on(&runner, SMOKE).unwrap();
+    assert_matches_golden(
+        "multitenant_sweep.json",
+        include_str!("golden/multitenant_sweep.json"),
+        &to_artifact_json(&result),
+    );
+    assert_matches_golden(
+        "multitenant_tenant_counters.csv",
+        include_str!("golden/multitenant_tenant_counters.csv"),
+        &result.counters_table().to_csv(),
     );
 }
 

@@ -8,6 +8,7 @@ use neummu_mmu::MmuConfig;
 use neummu_sim::experiments::{multi_tenant as mt_experiment, ExperimentScale};
 use neummu_sim::multi_tenant::{MultiTenantConfig, TenantScheduler, TenantSpec};
 use neummu_sim::ExperimentRunner;
+use neummu_sim::ServingPolicy;
 use neummu_vmem::Asid;
 use neummu_workloads::WorkloadId;
 
@@ -90,6 +91,71 @@ fn repeated_shared_runs_are_bit_identical() {
     let a = TenantScheduler::new(config).run(&tenants).unwrap();
     let b = TenantScheduler::new(config).run(&tenants).unwrap();
     assert_eq!(artifact_bytes(&a), artifact_bytes(&b));
+}
+
+/// The closed-loop policy pins: a 3-tenant smoke mix at burst 16 with WFQ
+/// weights `[1, 3, 2]`, under every scheduling policy, with the golden file
+/// each serialized `MultiTenantResult` must match byte for byte.
+fn policy_pins() -> [(ServingPolicy, &'static str, &'static str); 4] {
+    [
+        (
+            ServingPolicy::RoundRobin,
+            "closed_loop_rr.json",
+            include_str!("golden/closed_loop_rr.json"),
+        ),
+        (
+            ServingPolicy::WeightedFair,
+            "closed_loop_wfq.json",
+            include_str!("golden/closed_loop_wfq.json"),
+        ),
+        (
+            ServingPolicy::BurstQuantum,
+            "closed_loop_bq.json",
+            include_str!("golden/closed_loop_bq.json"),
+        ),
+        (
+            ServingPolicy::TlbAware {
+                occupancy_cap_pct: 34,
+            },
+            "closed_loop_tlb.json",
+            include_str!("golden/closed_loop_tlb.json"),
+        ),
+    ]
+}
+
+fn policy_pin_bytes(policy: ServingPolicy) -> String {
+    let config = MultiTenantConfig::with_mmu(MmuConfig::neummu()).with_burst(16);
+    let result = TenantScheduler::new(config)
+        .with_policy(policy)
+        .with_weights(vec![1, 3, 2])
+        .run(&mt_experiment::tenant_mix(SMOKE, 3))
+        .unwrap();
+    artifact_bytes(&result)
+}
+
+#[test]
+fn closed_loop_runs_match_their_policy_pins() {
+    for (policy, name, golden) in policy_pins() {
+        assert!(
+            golden == policy_pin_bytes(policy),
+            "closed-loop {} run diverged from tests/golden/{name}; after an \
+             intentional model change regenerate with `cargo test -p neummu_sim \
+             --test multi_tenant -- --ignored regenerate_policy_pins`",
+            policy.name()
+        );
+    }
+}
+
+/// Rewrites the policy-pin goldens from the current build (run explicitly,
+/// see [`closed_loop_runs_match_their_policy_pins`]).
+#[test]
+#[ignore = "rewrites the checked-in goldens"]
+fn regenerate_policy_pins() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (policy, name, _) in policy_pins() {
+        std::fs::write(dir.join(name), policy_pin_bytes(policy)).unwrap();
+    }
 }
 
 proptest! {

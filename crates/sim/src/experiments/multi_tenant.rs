@@ -16,7 +16,6 @@
 use serde::{Deserialize, Serialize};
 
 use neummu_mmu::MmuConfig;
-use neummu_workloads::WorkloadId;
 
 use crate::error::SimError;
 use crate::experiments::ExperimentScale;
@@ -78,13 +77,6 @@ impl TenantContentionRow {
         }
         self.shared.completion_cycle as f64 / self.isolated.completion_cycle as f64
     }
-
-    /// IOTLB hit rate lost to cross-tenant capacity contention (isolated
-    /// minus shared).
-    #[must_use]
-    pub fn tlb_hit_rate_loss(&self) -> f64 {
-        self.isolated.tlb_hit_rate() - self.shared.tlb_hit_rate()
-    }
 }
 
 /// One sweep point's aggregate: the makespan of running the mix to
@@ -114,13 +106,6 @@ impl MultiTenantSweepResult {
         self.rows
             .iter()
             .filter(move |row| row.tenant_count == tenant_count)
-    }
-
-    /// Mean per-tenant slowdown of one sweep point.
-    #[must_use]
-    pub fn mean_slowdown(&self, tenant_count: usize) -> f64 {
-        let slowdowns: Vec<f64> = self.rows_of(tenant_count).map(|r| r.slowdown()).collect();
-        crate::report::mean(&slowdowns)
     }
 
     /// Renders the sweep as a table: one row per tenant per sweep point,
@@ -261,18 +246,10 @@ pub fn tenant_sweep_on(
     })
 }
 
-/// The workload mix used when a caller wants "the" canonical N-tenant
-/// contended run outside the sweep (benches, examples): the full-scale mix.
-#[must_use]
-pub fn canonical_mix(tenant_count: usize) -> Vec<TenantSpec> {
-    (0..tenant_count)
-        .map(|i| TenantSpec::new(WorkloadId::ALL[i % WorkloadId::ALL.len()], 1))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use neummu_workloads::WorkloadId;
 
     const SMOKE: ExperimentScale = ExperimentScale::Smoke;
 
@@ -287,7 +264,6 @@ mod tests {
         assert_eq!(mix.len(), 8);
         assert_eq!(mix[0].workload, WorkloadId::Cnn1);
         assert_eq!(mix[6].workload, WorkloadId::Cnn1, "mix cycles after 6");
-        assert_eq!(canonical_mix(7)[6].workload, WorkloadId::Cnn1);
     }
 
     #[test]
@@ -313,7 +289,6 @@ mod tests {
                 row.slowdown()
             );
         }
-        assert!(result.mean_slowdown(2) > 1.0);
         // The two-point sweep needs exactly two distinct isolated baselines,
         // memoized across sweep points (CNN-1 appears in both).
         assert_eq!(runner.oracle_cache().simulations(), 2);

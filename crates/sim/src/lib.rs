@@ -12,10 +12,11 @@
 //!   (Figures 15 and 16): model-parallel embedding tables, CPU-relayed copies
 //!   vs. fine-grained NUMA gathers vs. demand paging.
 //!
-//! Two schedulers stack on top: [`multi_tenant`] runs a closed-loop batch of
-//! tenants to completion on one shared engine, and [`serving`] is the
-//! open-loop datacenter leg — seeded arrival generators, bounded admission
-//! queues, pluggable scheduling policies and exact SLO percentiles.
+//! One multi-tenant driver stacks on top, with two entry points:
+//! [`multi_tenant`] runs a closed-loop batch of tenants to completion on one
+//! shared engine, and [`serving`] is the open-loop datacenter leg — seeded
+//! arrival generators, bounded admission queues, pluggable scheduling
+//! policies and exact SLO percentiles.
 //!
 //! [`experiments`] contains one runner per table/figure of the paper; each
 //! returns a typed result that can be rendered with [`report`]. [`runner`]
@@ -42,7 +43,7 @@ pub use embedding::{
 };
 pub use error::SimError;
 pub use multi_tenant::{
-    MultiTenantConfig, MultiTenantResult, ResourceMode, TenantScheduler, TenantSpec, TenantStats,
+    MultiTenantConfig, MultiTenantResult, TenantScheduler, TenantSpec, TenantStats,
 };
 pub use report::ResultTable;
 pub use runner::{ExperimentRunner, OracleCache, SelfProfile};
@@ -62,8 +63,7 @@ pub mod prelude {
     };
     pub use crate::error::SimError;
     pub use crate::multi_tenant::{
-        MultiTenantConfig, MultiTenantResult, ResourceMode, TenantScheduler, TenantSpec,
-        TenantStats,
+        MultiTenantConfig, MultiTenantResult, TenantScheduler, TenantSpec, TenantStats,
     };
     pub use crate::report::ResultTable;
     pub use crate::runner::{ExperimentRunner, OracleCache, SelfProfile};

@@ -178,11 +178,11 @@ impl ExperimentRunner {
     }
 
     /// The memoized contention-free baseline of one tenant: its solo run
-    /// through the multi-tenant scheduler with isolation forced on. This is
-    /// the denominator of every per-tenant slowdown, keyed by the tenant
-    /// point *plus* the scenario fingerprint (MMU design point and
-    /// scheduling burst), so a tenant-count sweep simulates each distinct
-    /// baseline exactly once per runner lifetime.
+    /// through the multi-tenant scheduler, where it has the shared engine
+    /// and DRAM to itself. This is the denominator of every per-tenant
+    /// slowdown, keyed by the tenant point *plus* the scenario fingerprint
+    /// (MMU design point and scheduling burst), so a tenant-count sweep
+    /// simulates each distinct baseline exactly once per runner lifetime.
     ///
     /// # Errors
     ///
@@ -192,21 +192,20 @@ impl ExperimentRunner {
         spec: crate::multi_tenant::TenantSpec,
         config: crate::multi_tenant::MultiTenantConfig,
     ) -> Result<Arc<crate::multi_tenant::TenantStats>, SimError> {
-        let isolated = config.isolated();
         // The whole config is the scenario: every field (MMU design point,
         // DRAM parameters, node, capacity, burst) can shift the baseline's
         // completion cycles, so all of it goes into the fingerprint.
         let key = oracle_cache::OracleKey::for_scenario(
             spec.workload,
             spec.batch,
-            isolated.mmu.page_size,
-            &isolated.npu,
-            format!("mt-isolated/{isolated:?}"),
+            config.mmu.page_size,
+            &config.npu,
+            format!("mt-isolated/{config:?}"),
         );
         self.oracle_cache.tenant_baseline_with(
             key,
             || {
-                crate::multi_tenant::TenantScheduler::new(isolated)
+                crate::multi_tenant::TenantScheduler::new(config)
                     .run(std::slice::from_ref(&spec))
                     .map(|result| result.stats[0])
             },

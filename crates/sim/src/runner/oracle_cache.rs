@@ -384,18 +384,17 @@ mod tests {
         use neummu_mmu::MmuConfig;
 
         let cache = OracleCache::new();
-        let npu = NpuConfig::tpu_like();
-        let config = MultiTenantConfig::with_mmu(MmuConfig::neummu()).isolated();
+        let config = MultiTenantConfig::with_mmu(MmuConfig::neummu());
+        let npu = config.npu;
+        // Keyed exactly as `ExperimentRunner::isolated_tenant_point` keys a
+        // tenant's solo-run baseline.
         let key = || {
             OracleKey::for_scenario(
                 WorkloadId::Cnn1,
                 1,
-                PageSize::Size4K,
-                &npu,
-                format!(
-                    "mt-isolated/{:?}/burst{}",
-                    config.mmu, config.burst_transactions
-                ),
+                config.mmu.page_size,
+                &config.npu,
+                format!("mt-isolated/{config:?}"),
             )
         };
         let simulate = || {

@@ -2,10 +2,13 @@
 //!
 //! The closed-loop [`crate::multi_tenant`] scheduler runs every tenant's
 //! stream to completion as fast as the hardware allows. A datacenter does not
-//! get that luxury: requests arrive when users send them ("heavy traffic from
-//! millions of users" — the ROADMAP's north star), queue at the front end,
-//! and either meet their latency SLO or don't. This module is that serving
-//! leg, built as three orthogonal pieces plus a simulator that composes them:
+//! get that luxury: requests arrive when users send them, queue at the front
+//! end, and either meet their latency SLO or don't. Both are entry points of
+//! one multi-tenant driver (admission, policy pick, one service quantum per
+//! turn, trace span, bookkeeping); closed loop is its special case of one
+//! request per tenant at cycle 0 on a finite stream. This module is the
+//! serving leg, built as three orthogonal pieces plus a simulator that
+//! composes them:
 //!
 //! * [`arrivals`] — deterministic seeded arrival-time generators (Poisson,
 //!   bursty, diurnal), one ChaCha8 stream per tenant;
@@ -50,7 +53,7 @@ use neummu_vmem::{AddressSpaceRegistry, MemNode};
 use neummu_workloads::WorkloadId;
 
 use crate::error::SimError;
-use crate::multi_tenant::{map_tenant_fetches, TenantStats, TenantStream};
+use crate::multi_tenant::{map_tenant_fetches, TenantSpec, TenantStats, TenantStream};
 
 /// One tenant of a serving run: a model, a scheduling weight and an arrival
 /// process.
@@ -330,6 +333,14 @@ impl ServingResult {
     }
 }
 
+/// One tenant as the multi-tenant driver sees it: the model it runs, its
+/// weighted-fair weight and the cycles its requests arrive at.
+pub(crate) struct DriverTenant {
+    pub(crate) spec: TenantSpec,
+    pub(crate) weight: u64,
+    pub(crate) arrivals: Vec<u64>,
+}
+
 /// One tenant's live state during the run.
 struct TenantLane {
     stream: TenantStream,
@@ -338,6 +349,8 @@ struct TenantLane {
     queue: AdmissionQueue,
     /// `(request, transactions left, latest data-ready cycle, stall cycles)`.
     in_service: Option<(Request, u64, u64, u64)>,
+    /// Set once a quantum found the (finite) stream exhausted.
+    ran_dry: bool,
     /// Tumbling sojourn window the circuit breaker evaluates (unused — and
     /// never recorded into — without a breaker).
     breaker_window: LatencyHistogram,
@@ -374,17 +387,11 @@ impl ServingSimulator {
         ServingSimulator { config }
     }
 
-    /// The simulator's configuration.
-    #[must_use]
-    pub fn config(&self) -> &ServingConfig {
-        &self.config
-    }
-
-    fn validate(&self, tenants: &[ServingTenantSpec]) -> Result<(), SimError> {
+    fn validate(&self, tenant_count: usize) -> Result<(), SimError> {
         let config = &self.config;
         let invalid = |reason: String| Err(SimError::InvalidConfig { reason });
-        if tenants.is_empty() {
-            return invalid("a serving run needs at least one tenant".to_string());
+        if tenant_count == 0 {
+            return invalid("a multi-tenant run needs at least one tenant".to_string());
         }
         if config.burst_transactions == 0 {
             return invalid("service quantum must be at least one transaction".to_string());
@@ -400,7 +407,7 @@ impl ServingSimulator {
         }
         if config.mmu.kind == MmuKind::Oracle {
             return invalid(
-                "the serving simulator models contention on a cycle-accounted engine; \
+                "a multi-tenant run models contention on a cycle-accounted engine; \
                  the oracular MMU has nothing to contend for"
                     .to_string(),
             );
@@ -415,9 +422,6 @@ impl ServingSimulator {
             };
             faults.device.validate().map_err(invalid_fault)?;
             faults.resilience.validate().map_err(invalid_fault)?;
-        }
-        for spec in tenants {
-            spec.arrivals.validate()?;
         }
         Ok(())
     }
@@ -435,39 +439,77 @@ impl ServingSimulator {
     ///   invalid arrival config (NaN or non-positive rates are rejected here
     ///   rather than looping forever).
     /// * Propagates tiling and mapping errors.
-    #[allow(clippy::too_many_lines)]
     pub fn run(&self, tenants: &[ServingTenantSpec]) -> Result<ServingResult, SimError> {
-        let config = &self.config;
-        self.validate(tenants)?;
+        // `generate` validates each arrival config before drawing from it.
+        let lanes = tenants
+            .iter()
+            .map(|spec| {
+                Ok(DriverTenant {
+                    spec: TenantSpec::new(spec.workload, spec.batch),
+                    weight: spec.weight,
+                    arrivals: spec.arrivals.generate()?,
+                })
+            })
+            .collect::<Result<_, SimError>>()?;
+        let mut result = self.drive(lanes, true, "serving/turn")?;
+        result.tenants = tenants.to_vec();
+        Ok(result)
+    }
 
-        // Per-tenant address spaces, cyclic fetch streams, arrival sequences
-        // and admission queues.
+    /// The one multi-tenant driver behind [`ServingSimulator::run`] and
+    /// [`crate::multi_tenant::TenantScheduler::run`]: admits each tenant's
+    /// arrivals into its bounded queue, lets the policy pick a runnable
+    /// tenant per turn, serves one quantum of that tenant's head request on
+    /// the shared engine and DRAM, and emits one `turn_label` trace span per
+    /// turn that consumed anything. The result's `tenants` is left empty for
+    /// the caller to fill in.
+    ///
+    /// A request ends after `txns_per_request` transactions, or when a
+    /// quantum consumes fewer transactions than it was granted: the stream
+    /// ran dry, which only a finite (`cyclic == false`) stream does. A stream
+    /// that runs dry snapshots its tenant's IOTLB occupancy at that moment;
+    /// every other tenant's is taken at the end of the run.
+    #[allow(clippy::too_many_lines)]
+    pub(crate) fn drive(
+        &self,
+        tenants: Vec<DriverTenant>,
+        cyclic: bool,
+        turn_label: &'static str,
+    ) -> Result<ServingResult, SimError> {
+        let config = &self.config;
+        self.validate(tenants.len())?;
+
+        // Per-tenant address spaces, fetch streams, arrival sequences and
+        // admission queues.
         let mut registry = AddressSpaceRegistry::new();
         let mut lanes = Vec::with_capacity(tenants.len());
         let mut stats = Vec::with_capacity(tenants.len());
-        for spec in tenants {
-            let asid = registry.create(format!("serving-{}", spec.label()));
+        let mut weights = Vec::with_capacity(tenants.len());
+        for tenant in tenants {
+            let asid = registry.create(format!("tenant-{}", tenant.spec.label()));
             let space = registry.get_mut(asid).expect("just created");
             let fetches = map_tenant_fetches(
                 space,
-                spec.workload,
-                spec.batch,
+                tenant.spec.workload,
+                tenant.spec.batch,
                 &config.npu,
                 config.node,
                 config.memory_capacity_bytes,
                 config.mmu.page_size,
             )?;
             lanes.push(TenantLane {
-                stream: TenantStream::new(DmaEngine::new(config.npu.dma), fetches, true),
-                arrivals: spec.arrivals.generate()?,
+                stream: TenantStream::new(DmaEngine::new(config.npu.dma), fetches, cyclic),
+                arrivals: tenant.arrivals,
                 next_arrival: 0,
                 queue: AdmissionQueue::new(config.queue_depth, config.overflow),
                 in_service: None,
+                ran_dry: false,
                 breaker_window: LatencyHistogram::new(),
                 breaker_open_until: 0,
                 shed: 0,
                 breaker_trips: 0,
             });
+            weights.push(tenant.weight);
             stats.push(TenantServingStats {
                 translation: TenantStats::new(asid),
                 queue: QueueStats::default(),
@@ -488,15 +530,15 @@ impl ServingSimulator {
         };
         let mut dram = DramModel::new(config.dram);
         let tlb_capacity = engine.tlb().capacity() as u64;
-        let weights: Vec<u64> = tenants.iter().map(|t| t.weight).collect();
-        let mut policy_state = PolicyState::new(config.policy, tenants.len(), &weights);
-        let mut depths = vec![0u64; tenants.len()];
-        let mut occupancies = vec![0u64; tenants.len()];
-        let mut runnable = vec![false; tenants.len()];
+        let mut policy_state = PolicyState::new(config.policy, lanes.len(), &weights);
+        let mut depths = vec![0u64; lanes.len()];
+        let mut occupancies = vec![0u64; lanes.len()];
+        let mut runnable = vec![false; lanes.len()];
         let mut timeline = Vec::new();
-        // One `serving/turn` trace span per granted quantum, mirroring the
-        // closed-loop scheduler's `tenant/turn` spans.
-        let turn_trace = neummu_trace::global().map(|sink| (sink, sink.kind("serving/turn")));
+        // One trace span per turn: the tenant's slice of the shared front
+        // end, in simulated cycles, with the transactions it consumed as the
+        // payload.
+        let turn_trace = neummu_trace::global().map(|sink| (sink, sink.kind(turn_label)));
 
         let mut now = 0u64;
         let mut next_sample = 0u64;
@@ -559,8 +601,15 @@ impl ServingSimulator {
                 continue;
             }
             if config.policy.needs_depths() {
+                // A finite stream is one request that lasts until the stream
+                // runs dry, so its backlog is the fetches not yet started; a
+                // cyclic stream's is its queued and in-service requests.
                 for (tenant, lane) in lanes.iter().enumerate() {
-                    depths[tenant] = lane.queue.waiting() + u64::from(lane.in_service.is_some());
+                    depths[tenant] = if cyclic {
+                        lane.queue.waiting() + u64::from(lane.in_service.is_some())
+                    } else {
+                        lane.stream.fetches_remaining()
+                    };
                 }
             }
             if config.policy.needs_occupancy() {
@@ -592,14 +641,20 @@ impl ServingSimulator {
                 granted,
                 now,
             );
-            assert_eq!(served.consumed, granted, "cyclic streams never run dry");
             now = served.clock;
-            let txns_left = txns_left - served.consumed;
+            let consumed = served.consumed;
+            let txns_left = txns_left - consumed;
             let ready_max = ready_max.max(served.ready_max);
             let stall = stall + served.stall;
-            if txns_left > 0 {
+            let ran_dry = consumed < granted;
+            if txns_left > 0 && !ran_dry {
                 lane.in_service = Some((request, txns_left, ready_max, stall));
             } else {
+                if ran_dry {
+                    lane.ran_dry = true;
+                    tenant_stats.translation.final_tlb_occupancy =
+                        engine.tlb().occupancy_of(asid) as u64;
+                }
                 lane.in_service = None;
                 lane.queue.complete();
                 let sojourn = ready_max.saturating_sub(request.arrival_cycle);
@@ -618,14 +673,14 @@ impl ServingSimulator {
                     }
                 }
             }
-            policy_state.charge(tenant, granted);
-            if let Some((sink, kind)) = turn_trace {
+            policy_state.charge(tenant, consumed);
+            if let Some((sink, kind)) = turn_trace.filter(|_| consumed > 0) {
                 sink.emit(neummu_trace::Event {
                     kind,
                     asid: asid.raw(),
                     start: turn_start,
                     end: now,
-                    payload: granted,
+                    payload: consumed,
                 });
             }
         }
@@ -635,8 +690,10 @@ impl ServingSimulator {
             tenant_stats.queue = lane.queue.stats();
             tenant_stats.shed = lane.shed;
             tenant_stats.breaker_trips = lane.breaker_trips;
-            tenant_stats.translation.final_tlb_occupancy =
-                engine.tlb().occupancy_of(tenant_stats.translation.asid) as u64;
+            if !lane.ran_dry {
+                tenant_stats.translation.final_tlb_occupancy =
+                    engine.tlb().occupancy_of(tenant_stats.translation.asid) as u64;
+            }
         }
         let makespan_cycles = stats
             .iter()
@@ -644,7 +701,7 @@ impl ServingSimulator {
             .max()
             .unwrap_or(0);
         Ok(ServingResult {
-            tenants: tenants.to_vec(),
+            tenants: Vec::new(),
             stats,
             timeline,
             makespan_cycles,

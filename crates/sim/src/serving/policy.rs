@@ -119,12 +119,6 @@ impl PolicyState {
         }
     }
 
-    /// The policy this state drives.
-    #[must_use]
-    pub fn policy(&self) -> ServingPolicy {
-        self.policy
-    }
-
     /// Picks the tenant to serve next, or `None` if no tenant is runnable.
     ///
     /// `runnable[t]` marks tenants with work available right now; `depths[t]`
@@ -213,12 +207,6 @@ impl PolicyState {
         if self.virtual_service[t] < self.virtual_time {
             self.virtual_service[t] = self.virtual_time;
         }
-    }
-
-    /// The tenant's accumulated virtual service (test observability).
-    #[must_use]
-    pub fn virtual_service_of(&self, t: usize) -> f64 {
-        self.virtual_service[t]
     }
 }
 

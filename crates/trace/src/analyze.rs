@@ -139,8 +139,14 @@ mod tests {
     use crate::{Event, TraceSink};
 
     fn demo_trace() -> Trace {
-        let path =
-            std::env::temp_dir().join(format!("neummu_trace_analyze_{}.trace", std::process::id()));
+        // Tests run in parallel threads of one process: each call gets its
+        // own file, so one test's cleanup cannot delete another's trace.
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!(
+            "neummu_trace_analyze_{}_{call}.trace",
+            std::process::id()
+        ));
         let sink = TraceSink::to_file(&path).unwrap();
         let walk = sink.kind("engine/page_walk");
         let hit = sink.kind("engine/tlb_hit");

@@ -222,27 +222,41 @@ fn bench_run_coalesced_burst(c: &mut Criterion) {
     let pages = 2048u64;
     let pt = streaming_table(pages);
     // The same 8-transactions-per-page DMA stream as the per-request
-    // `neummu` bench above, consumed through the run-coalesced path: one
-    // `translate_run` resolves a page's walk and replays the burst's seven
-    // merges arithmetically. The gap between this ns/req figure and
-    // `translation_engine/neummu` is the per-request overhead PR 5 removed.
+    // benches above, consumed through the run-coalesced path: one
+    // `translate_run` resolves a page's first request and replays the rest
+    // of its burst arithmetically — seven merges on NeuMMU (the gap to
+    // `translation_engine/neummu` is the per-request overhead run coalescing
+    // removes), seven redundant walks admitted as one walker-pool run on the
+    // merge-less engines (the unit cost of the walk replay).
     group.throughput(Throughput::Elements(pages * 8));
-    group.bench_function("run_coalesced_burst", |b| {
-        b.iter(|| {
-            let mut engine = TranslationEngine::new(MmuConfig::neummu());
-            let mut cycle = 0u64;
-            for page in 0..pages {
-                let va = VirtAddr::new(0x10_0000_0000 + page * 4096);
-                let mut remaining = 8u64;
-                while remaining > 0 {
-                    let out = engine.translate_run(&pt, black_box(va), remaining, cycle);
-                    cycle = out.last_accept() + 1;
-                    remaining -= out.consumed;
+    for (name, config) in [
+        ("run_coalesced_burst", MmuConfig::neummu()),
+        (
+            "run_coalesced_walk_burst_baseline_iommu",
+            MmuConfig::baseline_iommu(),
+        ),
+        (
+            "run_coalesced_walk_burst_1024ptw",
+            MmuConfig::baseline_iommu().with_ptws(1024),
+        ),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut engine = TranslationEngine::new(config);
+                let mut cycle = 0u64;
+                for page in 0..pages {
+                    let va = VirtAddr::new(0x10_0000_0000 + page * 4096);
+                    let mut remaining = 8u64;
+                    while remaining > 0 {
+                        let out = engine.translate_run(&pt, black_box(va), remaining, cycle);
+                        cycle = out.last_accept() + 1;
+                        remaining -= out.consumed;
+                    }
                 }
-            }
-            engine.stats().walks
-        })
-    });
+                engine.stats().walks
+            })
+        });
+    }
     group.finish();
 }
 

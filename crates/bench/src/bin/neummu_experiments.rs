@@ -5,6 +5,7 @@
 //! ```text
 //! neummu-experiments [--quick] [--out <dir>] [--only <exp>[,<exp>...]]
 //!                    [--threads <n>] [--profile-trace <file>] [--store <dir>]
+//! neummu-experiments --list
 //! ```
 //!
 //! * `--quick` runs the reduced (smoke) suite instead of the full benchmark
@@ -14,7 +15,7 @@
 //!   (`table1`, `fig06`, `fig07`, `fig08`, `fig10`, `fig11`, `fig12a`,
 //!   `fig12b`, `fig13`, `fig14`, `mmu_cache`, `summary`, `largepage`,
 //!   `spatial`, `sensitivity`, `fig15`, `fig16`, `multitenant`, `serving`,
-//!   `resilience`).
+//!   `resilience`). `--list` prints these ids, one per line, and exits.
 //! * `--threads` sets the worker-thread count of the experiment runner
 //!   (default: the machine's available parallelism; `1` forces the serial
 //!   reference schedule). Artifacts are byte-identical for every thread
@@ -134,9 +135,15 @@ fn parse_args() -> Result<Options, String> {
             "--store" => {
                 store = Some(args.next().ok_or("--store requires a directory argument")?);
             }
+            "--list" => {
+                for id in EXPERIMENT_IDS {
+                    println!("{id}");
+                }
+                std::process::exit(0);
+            }
             "--help" | "-h" => {
                 println!(
-                    "usage: neummu-experiments [--quick] [--out <dir>] [--only <exp>[,<exp>...]] [--threads <n>] [--profile-trace <file>] [--store <dir>]"
+                    "usage: neummu-experiments [--quick] [--out <dir>] [--only <exp>[,<exp>...]] [--threads <n>] [--profile-trace <file>] [--store <dir>] | --list"
                 );
                 std::process::exit(0);
             }

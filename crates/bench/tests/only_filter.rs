@@ -1,5 +1,6 @@
 //! `neummu_experiments --only` argument validation: an id that matches no
-//! experiment family must fail loudly instead of writing zero artifacts.
+//! experiment family must fail loudly instead of writing zero artifacts; and
+//! `--list` prints exactly the ids `--only` accepts.
 
 use std::process::Command;
 
@@ -42,4 +43,30 @@ fn known_only_id_still_runs_its_family() {
     let written = std::fs::read_dir(&out).expect("artifact dir").count();
     assert!(written > 0, "`--only table1` wrote no artifacts");
     std::fs::remove_dir_all(&out).unwrap();
+}
+
+#[test]
+fn list_prints_exactly_the_ids_only_accepts() {
+    let output = Command::new(env!("CARGO_BIN_EXE_neummu_experiments"))
+        .arg("--list")
+        .output()
+        .expect("spawn neummu_experiments");
+    assert!(output.status.success(), "`--list` exited nonzero");
+    let listed: Vec<String> = String::from_utf8_lossy(&output.stdout)
+        .lines()
+        .map(str::to_string)
+        .collect();
+    // The rejection of an unknown id names every id `--only` accepts.
+    let (ok, stderr, _) = run_only("bogus", "list");
+    assert!(!ok);
+    let known: Vec<String> = stderr
+        .split("(known: ")
+        .nth(1)
+        .and_then(|rest| rest.split(')').next())
+        .expect("the error lists the known ids")
+        .split(", ")
+        .map(str::to_string)
+        .collect();
+    assert_eq!(listed, known);
+    assert!(listed.iter().any(|id| id == "resilience"));
 }

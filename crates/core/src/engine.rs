@@ -32,7 +32,7 @@ use crate::config::{MmuConfig, MmuKind};
 use crate::counters;
 use crate::stats::TranslationStats;
 use crate::tlb::Tlb;
-use crate::walker::{WalkAdmission, WalkerPool};
+use crate::walker::{RetiredWalks, WalkAdmission, WalkerPool};
 
 /// How a translation request was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -838,9 +838,10 @@ impl TranslationEngine {
         else {
             return None;
         };
-        Self::account_walk(
+        Self::account_walks(
             &mut self.stats,
             &mut self.energy,
+            1,
             levels_read,
             effective_mapped,
             completes_at,
@@ -918,24 +919,26 @@ impl TranslationEngine {
         stats.last_completion_cycle = stats.last_completion_cycle.max(completes_at);
     }
 
-    /// Walk-start bookkeeping of one admitted walk that reads `levels_read`
-    /// page-table levels and completes at `completes_at`. The one place every
-    /// walk is counted: the full path, the fault-perturbed admission and the
-    /// walk replay all call it.
+    /// Walk-start bookkeeping of `walks` admitted walks that each read
+    /// `levels_read` page-table levels, the last completing at
+    /// `completes_at`. The one place every walk is counted: the full path,
+    /// the fault-perturbed admission and the walk replay all call it.
     #[inline]
-    fn account_walk(
+    fn account_walks(
         stats: &mut TranslationStats,
         energy: &mut EnergyMeter,
+        walks: u64,
         levels_read: u32,
         mapped: bool,
         completes_at: u64,
     ) {
-        stats.tlb_misses += 1;
-        stats.walks += 1;
-        stats.walk_memory_accesses += u64::from(levels_read);
-        energy.record(EnergyEvent::PageWalkMemoryAccess, u64::from(levels_read));
+        let levels = walks * u64::from(levels_read);
+        stats.tlb_misses += walks;
+        stats.walks += walks;
+        stats.walk_memory_accesses += levels;
+        energy.record(EnergyEvent::PageWalkMemoryAccess, levels);
         if !mapped {
-            stats.faults += 1;
+            stats.faults += walks;
         }
         stats.last_completion_cycle = stats.last_completion_cycle.max(completes_at);
     }
@@ -949,22 +952,47 @@ impl TranslationEngine {
         tap: &mut EngineTap,
         cycle: u64,
     ) -> usize {
-        walkers.drain_completed(cycle, |walk| {
-            if walk.mapped {
-                tlb.insert_tagged(walk.asid, walk.page_number);
-                energy.record(EnergyEvent::TlbFill, 1);
-            }
-            if walk.merged_requests > 0 {
-                energy.record(EnergyEvent::PrmbRead, u64::from(walk.merged_requests));
-            }
-            tap.record(
-                TAP_RETIRE,
-                walk.asid,
-                walk.completed_at,
-                walk.completed_at,
-                1 + u64::from(walk.merged_requests),
-            );
+        walkers.drain_completed(cycle, |walks| {
+            Self::apply_retired(tlb, energy, tap, walks, 0);
         })
+    }
+
+    /// Applies `walks` consecutive retirements of one run. The first is an
+    /// ordinary TLB insertion (it may fill and evict); each later one
+    /// re-inserts the entry the first made resident, which never evicts and
+    /// only refreshes its recency, after the `misses_between` missing lookups
+    /// that the caller interleaves with every retirement.
+    #[inline]
+    fn apply_retired(
+        tlb: &mut Tlb,
+        energy: &mut EnergyMeter,
+        tap: &mut EngineTap,
+        walks: RetiredWalks,
+        misses_between: u64,
+    ) {
+        if walks.mapped {
+            tlb.insert_tagged(walks.asid, walks.page_number);
+            if walks.walks > 1 {
+                let resident = tlb.record_run_refills(
+                    walks.asid,
+                    walks.page_number,
+                    walks.walks - 1,
+                    misses_between,
+                );
+                debug_assert!(resident, "a just-filled entry is resident");
+            }
+            energy.record(EnergyEvent::TlbFill, walks.walks);
+        }
+        if walks.merged_requests > 0 {
+            debug_assert_eq!(walks.walks, 1, "only single-walk runs take merges");
+            energy.record(EnergyEvent::PrmbRead, u64::from(walks.merged_requests));
+        }
+        if tap.enabled {
+            let weight = 1 + u64::from(walks.merged_requests);
+            for at in walks.completed_at..walks.completed_at + walks.walks {
+                tap.record(TAP_RETIRE, walks.asid, at, at, weight);
+            }
+        }
     }
 
     /// Retires completed walks up to `cycle`, filling the TLB.
@@ -1073,16 +1101,20 @@ impl TranslationEngine {
     /// happens) and the page-table probe (the page is immutable for the
     /// duration of the call, so every walk reads the first request's
     /// `levels` and finds the page mapped — a faulting first request never
-    /// replays). Walker assignment, TPreg probes and fills, heap
-    /// order, retirements and all statistics go through the exact
-    /// per-request machinery, one request at a time; a request that would
-    /// be rejected (no idle walker) is *not* consumed, so the caller's next
-    /// run re-issues it through the full stall-retry path.
+    /// replays). The walks are admitted in closed-form windows
+    /// ([`WalkerPool::admit_walk_window`]) as one run with the first
+    /// request's walk; the head run's retirements inside a window are
+    /// applied as one insertion plus bulk refills, interleaved with the
+    /// window's missing lookups in stamp order. A cycle no window can
+    /// absorb (another run retiring, this page landing, no free walker)
+    /// takes the per-request step: retire, re-check the TLB, re-check the
+    /// walkers. A request that would be rejected (no idle walker) is *not*
+    /// consumed, so the caller's next run re-issues it through the full
+    /// stall-retry path.
     fn replay_walk_run(
         &mut self,
         asid: Asid,
         page_number: u64,
-        tag: PathTag,
         levels: u32,
         first_accept: u64,
         want: u64,
@@ -1101,9 +1133,40 @@ impl TranslationEngine {
             !config.tpreg_enabled,
             "walk replays require constant per-walk levels (no TPreg)"
         );
+        let latency = u64::from(levels) * config.walk_latency_per_level;
         let last_cycle = first_accept + want;
         let mut cursor = first_accept;
         while cursor < last_cycle {
+            let first_cycle = cursor + 1;
+            let window = walkers.admit_walk_window(
+                asid,
+                page_number,
+                first_cycle,
+                levels,
+                last_cycle - cursor,
+            );
+            let admitted = window.admitted;
+            if admitted > 0 {
+                // Per request, a retirement lands at the start of its cycle,
+                // before that cycle's missing lookup.
+                let mut misses = admitted;
+                if let Some(walks) = window.retired {
+                    if walks.mapped {
+                        let before = walks.completed_at - first_cycle;
+                        tlb.record_run_misses(before);
+                        misses -= before + walks.walks - 1;
+                    }
+                    Self::apply_retired(tlb, energy, tap, walks, 1);
+                }
+                tlb.record_run_misses(misses);
+                energy.record(EnergyEvent::TlbLookup, admitted);
+                stats.requests += admitted;
+                cursor += admitted;
+                Self::account_walks(stats, energy, admitted, levels, true, cursor + latency);
+                if cursor == last_cycle {
+                    break;
+                }
+            }
             let cycle = cursor + 1;
             if walkers.next_completion().is_some_and(|c| c <= cycle) {
                 Self::retire_walks(walkers, tlb, energy, tap, cycle);
@@ -1117,19 +1180,6 @@ impl TranslationEngine {
                 // The request at `cycle` would be rejected and stall.
                 break;
             }
-            tlb.record_run_misses(1);
-            energy.record(EnergyEvent::TlbLookup, 1);
-            let WalkAdmission::Started {
-                completes_at,
-                levels_read,
-                ..
-            } = walkers.start_walk_tagged(asid, cycle, page_number, tag, levels, true)
-            else {
-                unreachable!("a free walker accepts a walk")
-            };
-            stats.requests += 1;
-            Self::account_walk(stats, energy, levels_read, true, completes_at);
-            cursor = cycle;
         }
         let replayed = cursor - first_accept;
         if replayed > 0 {
@@ -1323,9 +1373,10 @@ impl TranslationEngine {
                     levels_read,
                     ..
                 } => {
-                    Self::account_walk(
+                    Self::account_walks(
                         &mut self.stats,
                         &mut self.energy,
+                        1,
                         levels_read,
                         mapped,
                         completes_at,
@@ -1422,14 +1473,8 @@ impl AddressTranslator for TranslationEngine {
                 // (With a TPreg, later walks skip levels the first one read
                 // and completions stop being arithmetic; with an armed fault
                 // plan every walk draws its own fault: no replay.)
-                let replayed = self.replay_walk_run(
-                    asid,
-                    page_number,
-                    PathTag::of(va),
-                    levels_read,
-                    first.accept_cycle,
-                    want,
-                );
+                let replayed =
+                    self.replay_walk_run(asid, page_number, levels_read, first.accept_cycle, want);
                 if replayed > 0 {
                     out.consumed += replayed;
                     out.complete_stride = 1;
@@ -1975,6 +2020,61 @@ mod tests {
             walk.complete_cycle + 1,
         );
         assert_eq!(hit.source, TranslationSource::TlbHit);
+    }
+
+    #[test]
+    fn a_disarmed_fault_plan_batches_walks_and_an_armed_one_never_does() {
+        let pt = mapped_table(0xa00_0000, 1);
+        let config = MmuConfig::baseline_iommu().with_ptws(64);
+        let va = |i: u64| VirtAddr::new(0xa00_0000 + i * 512);
+        let mut disarmed = TranslationEngine::with_faults(
+            config,
+            DeviceFaultConfig::none(7),
+            ResilienceConfig::all_on(),
+        )
+        .unwrap();
+        assert_eq!(disarmed.translate_run(&pt, va(0), 8, 0).consumed, 8);
+        assert_eq!(disarmed.walkers.in_flight(), 8);
+        assert_eq!(
+            disarmed.walkers.runs_in_flight(),
+            1,
+            "one run of eight walks"
+        );
+
+        let mut armed = TranslationEngine::with_faults(
+            config,
+            DeviceFaultConfig::uniform(7, 0.05),
+            ResilienceConfig::all_on(),
+        )
+        .unwrap();
+        let mut cycle = 0;
+        for i in 0..8 {
+            let out = armed.translate_run(&pt, va(i), 8 - i, cycle);
+            assert_eq!(out.consumed, 1, "every armed walk draws its own fault");
+            cycle = out.last_accept() + 1;
+        }
+        assert_eq!(armed.stats().walks, 8);
+        assert_eq!(armed.walkers.runs_in_flight(), 8);
+    }
+
+    #[test]
+    fn flush_asid_mid_run_fills_no_tlb_entry() {
+        let (a, b) = (Asid::new(1), Asid::new(2));
+        let pt = mapped_table(0xa00_0000, 2);
+        let mut engine = TranslationEngine::new(MmuConfig::baseline_iommu().with_ptws(64));
+        let out = engine.translate_run_tagged(&pt, a, VirtAddr::new(0xa00_0000), 8, 0);
+        assert_eq!(out.consumed, 8);
+        assert_eq!(engine.walkers.runs_in_flight(), 1);
+        // Tenant B's request at 403 retires the run's first four walks.
+        engine.translate_run_tagged(&pt, b, VirtAddr::new(0xa00_1000), 1, 403);
+        assert!(engine.tlb().contains_tagged(a, 0xa000));
+        assert_eq!(engine.walkers.in_flight(), 5);
+        engine.flush_asid(a);
+        // The run's other four walks retire discarded.
+        engine.translate_run_tagged(&pt, b, VirtAddr::new(0xa00_1000), 1, 2_000);
+        assert_eq!(engine.walkers.in_flight(), 0);
+        assert!(!engine.tlb().contains_tagged(a, 0xa000));
+        assert_eq!(engine.tlb().occupancy_of(a), 0);
     }
 
     #[test]

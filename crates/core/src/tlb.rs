@@ -185,6 +185,41 @@ impl Tlb {
         self.lookups += misses;
     }
 
+    /// Records `refills` re-insertions of one resident entry, each preceded
+    /// by `misses_between` missing lookups — the retirement of a run's later
+    /// walks, whose first walk already filled the entry, interleaved with a
+    /// walk replay's lookups.
+    ///
+    /// Re-inserting a resident entry only refreshes its recency, so nothing
+    /// is filled or evicted. The stamp and lookup counters advance exactly
+    /// as the interleaved per-request sequence would advance them, and the
+    /// entry ends with the stamp of its last re-insertion.
+    ///
+    /// Returns `false` (recording nothing) if the entry is not resident.
+    pub fn record_run_refills(
+        &mut self,
+        asid: Asid,
+        page_number: u64,
+        refills: u64,
+        misses_between: u64,
+    ) -> bool {
+        if refills == 0 {
+            return self.contains_tagged(asid, page_number);
+        }
+        let set = self.set_index(page_number);
+        let stamp = self.stamp + refills * (misses_between + 1);
+        let Some(entry) = self.sets[set]
+            .iter_mut()
+            .find(|e| e.matches(asid, page_number))
+        else {
+            return false;
+        };
+        entry.last_used = stamp;
+        self.stamp = stamp;
+        self.lookups += refills * misses_between;
+        true
+    }
+
     /// Checks for presence in the given context without updating LRU state or
     /// statistics.
     #[must_use]

@@ -374,12 +374,13 @@ fn differential_engine(design: usize) -> TranslationEngine {
             ResilienceConfig::all_on(),
         )
         .expect("valid fault config"),
-        _ => TranslationEngine::with_faults(
+        8 => TranslationEngine::with_faults(
             MmuConfig::baseline_iommu().with_ptws(4),
             DeviceFaultConfig::uniform(0xD1FF, 0.05),
             ResilienceConfig::all_on(),
         )
         .expect("valid fault config"),
+        _ => TranslationEngine::new(MmuConfig::baseline_iommu().with_ptws(1024)),
     }
 }
 
@@ -411,7 +412,7 @@ proptest! {
     #[test]
     fn run_replay_matches_count_one_runs_under_mutation(
         raw in raw_steps(),
-        design in 0usize..9,
+        design in 0usize..10,
         tenants in 2usize..4,
     ) {
         let mut tables: Vec<PageTable> = (0..tenants).map(differential_table).collect();
@@ -480,5 +481,6 @@ proptest! {
         prop_assert_eq!(coalesced.tlb().hits(), reference.tlb().hits());
         prop_assert_eq!(coalesced.tlb().fills(), reference.tlb().fills());
         prop_assert_eq!(coalesced.fault_counters(), reference.fault_counters());
+        prop_assert_eq!(format!("{:?}", coalesced.tlb()), format!("{:?}", reference.tlb()));
     }
 }

@@ -14,7 +14,9 @@ use proptest::collection;
 use proptest::prelude::*;
 
 use neummu_mem::dram::{DramConfig, DramModel};
-use neummu_mmu::{AddressTranslator, MmuConfig, TranslationEngine, TranslationOutcome};
+use neummu_mmu::{
+    AddressTranslator, MmuConfig, TranslationEngine, TranslationOutcome, TranslationSource,
+};
 use neummu_npu::{DmaConfig, DmaEngine, TensorKind, TileFetch};
 use neummu_vmem::{MemNode, PageSize, PageTable, PhysFrameNum, VirtAddr};
 
@@ -29,6 +31,8 @@ struct PhaseResult {
     tlb_hits: u64,
     tlb_fills: u64,
     tlb_occupancy: usize,
+    /// The TLB's full replacement state (entries, sets, recency stamps).
+    tlb_state: String,
     dram_busy_until: u64,
     dram_total_bytes: u64,
 }
@@ -86,6 +90,7 @@ fn per_transaction_phase(
         tlb_hits: engine.tlb().hits(),
         tlb_fills: engine.tlb().fills(),
         tlb_occupancy: engine.tlb().occupancy(),
+        tlb_state: format!("{:?}", engine.tlb()),
         dram_busy_until: dram.busy_until(),
         dram_total_bytes: dram.total_bytes(),
     }
@@ -149,9 +154,152 @@ fn run_coalesced_phase(
         tlb_hits: engine.tlb().hits(),
         tlb_fills: engine.tlb().fills(),
         tlb_occupancy: engine.tlb().occupancy(),
+        tlb_state: format!("{:?}", engine.tlb()),
         dram_busy_until: dram.busy_until(),
         dram_total_bytes: dram.total_bytes(),
     }
+}
+
+/// A same-page burst: `count` requests to `page`, the first issued `gap`
+/// cycles after the previous burst's last accept.
+struct Burst {
+    page: u64,
+    count: u64,
+    gap: u64,
+}
+
+/// Drives `bursts` (512-byte requests from `base`) through a run-coalescing
+/// engine and through a per-request reference engine, requires identical
+/// outcomes, statistics and TLB state, and returns every outcome together
+/// with how many requests each run call consumed.
+fn assert_bursts_match(
+    mmu: MmuConfig,
+    pt: &PageTable,
+    base: u64,
+    bursts: &[Burst],
+) -> (Vec<TranslationOutcome>, Vec<u64>) {
+    let va = |page: u64, i: u64| VirtAddr::new(base + page * 4096 + i * 512);
+    let mut reference = TranslationEngine::new(mmu);
+    let mut expected = Vec::new();
+    let mut cycle = 0u64;
+    for burst in bursts {
+        cycle += burst.gap;
+        for i in 0..burst.count {
+            let out = reference
+                .translate_run(pt, va(burst.page, i), 1, cycle)
+                .first;
+            cycle = out.accept_cycle + 1;
+            expected.push(out);
+        }
+    }
+    let mut coalesced = TranslationEngine::new(mmu);
+    let mut produced = Vec::new();
+    let mut consumed = Vec::new();
+    let mut cycle = 0u64;
+    for burst in bursts {
+        cycle += burst.gap;
+        let mut done = 0;
+        while done < burst.count {
+            let out = coalesced.translate_run(pt, va(burst.page, done), burst.count - done, cycle);
+            produced.extend((0..out.consumed).map(|j| out.outcome(j)));
+            consumed.push(out.consumed);
+            done += out.consumed;
+            cycle = out.last_accept() + 1;
+        }
+    }
+    assert_eq!(produced, expected);
+    assert_eq!(coalesced.stats(), reference.stats());
+    assert_eq!(
+        format!("{:?}", coalesced.tlb()),
+        format!("{:?}", reference.tlb())
+    );
+    (produced, consumed)
+}
+
+/// Maps `pages` 4 KB pages from `base`.
+fn mapped_pages(base: u64, pages: u64) -> PageTable {
+    let mut pt = PageTable::new();
+    for i in 0..pages {
+        pt.map(
+            VirtAddr::new(base + i * 4096),
+            PageSize::Size4K,
+            PhysFrameNum::new(0x10_0000 + i),
+            MemNode::Npu(0),
+        )
+        .unwrap();
+    }
+    pt
+}
+
+/// On a 1024-walker baseline IOMMU, a 400-cycle walk and one idle cycle
+/// between 8-request bursts put page `k`'s duplicate walks inside page
+/// `k + 44`'s replay window, retiring from its fourth cycle on. On a 4-entry
+/// direct-mapped TLB the first of those retirements fills and evicts; the
+/// rest re-insert the resident entry, interleaved with the window's misses.
+#[test]
+fn duplicate_run_retiring_inside_a_window_fills_and_evicts() {
+    let mut mmu = MmuConfig::baseline_iommu()
+        .with_ptws(1024)
+        .with_tlb_entries(4);
+    mmu.tlb_ways = 1;
+    let base = 0x10_0000_0000u64;
+    let pt = mapped_pages(base, 128);
+    let bursts: Vec<Burst> = (0..128)
+        .map(|page| Burst {
+            page,
+            count: 8,
+            gap: 1,
+        })
+        .collect();
+    let (outcomes, consumed) = assert_bursts_match(mmu, &pt, base, &bursts);
+    // Every burst replays whole: no stall, no hit, one call per burst.
+    assert!(consumed.iter().all(|&c| c == 8));
+    // Page 0's walks complete at 401..=408; page 44's burst accepts
+    // 397..=404.
+    assert_eq!(outcomes[0].complete_cycle, 401);
+    assert_eq!(outcomes[44 * 8].accept_cycle, 397);
+    assert!(outcomes
+        .iter()
+        .all(|o| matches!(o.source, TranslationSource::PageWalk { levels_read: 4 })));
+}
+
+/// An unmapped page in an unmapped 2 MB region walks three levels (300
+/// cycles), so it completes in the same cycle as a full walk issued 100
+/// cycles before it — inside a later burst's replay window.
+#[test]
+fn same_cycle_completion_tie_inside_a_window_matches() {
+    let mmu = MmuConfig::baseline_iommu().with_ptws(1024);
+    let base = 0x10_0000_0000u64;
+    let pt = mapped_pages(base, 64);
+    let unmapped_page = (4 << 20) / 4096;
+    let mut bursts: Vec<Burst> = (0..64)
+        .map(|page| Burst {
+            page,
+            count: 8,
+            gap: 0,
+        })
+        .collect();
+    bursts.insert(
+        21,
+        Burst {
+            page: unmapped_page,
+            count: 1,
+            gap: 0,
+        },
+    );
+    let (outcomes, _) = assert_bursts_match(mmu, &pt, base, &bursts);
+    let fault = outcomes[21 * 8];
+    assert!(fault.fault);
+    assert_eq!(fault.source, TranslationSource::PageWalk { levels_read: 3 });
+    let tied = outcomes
+        .iter()
+        .filter(|o| !o.fault && o.complete_cycle == fault.complete_cycle)
+        .count();
+    assert_eq!(tied, 1, "the partial walk ties with one full walk");
+    // A burst is accepting requests in the cycle of the tie.
+    assert!(outcomes
+        .iter()
+        .any(|o| o.accept_cycle == fault.complete_cycle));
 }
 
 proptest! {
@@ -168,7 +316,7 @@ proptest! {
         large_pages in any::<bool>(),
         tlb_choice in 0usize..3,
         ways_choice in 0usize..3,
-        ptw_choice in 0usize..3,
+        ptw_choice in 0usize..5,
         prmb_choice in 0usize..3,
         tpreg in any::<bool>(),
         passes in 1u32..3,
@@ -177,7 +325,7 @@ proptest! {
         let page_size = if large_pages { PageSize::Size2M } else { PageSize::Size4K };
         let mut mmu = MmuConfig::baseline_iommu()
             .with_tlb_entries([4usize, 64, 2048][tlb_choice])
-            .with_ptws([1usize, 8, 128][ptw_choice])
+            .with_ptws([1usize, 2, 8, 128, 1024][ptw_choice])
             .with_prmb_slots([0usize, 1, 32][prmb_choice])
             .with_tpreg(tpreg)
             .with_page_size(page_size);
@@ -198,6 +346,7 @@ proptest! {
         prop_assert_eq!(reference.tlb_hits, coalesced.tlb_hits);
         prop_assert_eq!(reference.tlb_fills, coalesced.tlb_fills);
         prop_assert_eq!(reference.tlb_occupancy, coalesced.tlb_occupancy);
+        prop_assert_eq!(&reference.tlb_state, &coalesced.tlb_state);
         prop_assert_eq!(reference.dram_busy_until, coalesced.dram_busy_until);
         prop_assert_eq!(reference.dram_total_bytes, coalesced.dram_total_bytes);
         // Per-chunk last-arrivals are a subsequence of the per-transaction

@@ -28,14 +28,16 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 out="${1:-BENCH_PR10.json}"
 
-# Every family the previous baseline (BENCH_PR9.json) regenerated — i.e.
-# everything except the new `resilience` family. Timing this list on the
-# current binary isolates the faults-disabled engine overhead from the cost
-# of the new family itself.
-PREFAULT_FAMILIES="table1,fig06,fig07,fig08,fig10,fig11,fig12a,fig12b,fig13,fig14,mmu_cache,summary,largepage,spatial,sensitivity,fig15,fig16,multitenant,serving"
-
 echo "building release binaries..." >&2
 cargo build --release >&2
+
+# Every family the previous baseline (BENCH_PR9.json) regenerated — i.e.
+# everything except the `resilience` family. Timing this list on the
+# current binary isolates the faults-disabled engine overhead from the cost
+# of the new family itself. Read from the binary, so a renamed or added
+# family cannot drift out of the list.
+PREFAULT_FAMILIES="$(./target/release/neummu_experiments --list | grep -vx resilience | paste -sd, -)"
+test -n "$PREFAULT_FAMILIES"
 
 echo "running mmu_microbench (criterion quick mode)..." >&2
 bench_log="$(mktemp)"
